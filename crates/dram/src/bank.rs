@@ -1,10 +1,21 @@
 //! Per-bank state machine with timing-register bookkeeping.
 //!
 //! Rather than an explicit event queue, each bank records the earliest cycle
-//! at which each command class becomes legal (`next_activate`, `next_read`,
-//! …). Issuing a command validates against those registers and advances them.
-//! This is the same technique USIMM and Ramulator use and makes the
-//! controller's "is this command ready?" query O(1).
+//! at which each command class becomes legal (`next_activate`,
+//! `next_column`, `next_precharge`). Issuing a command validates against
+//! those registers and advances them. This is the same technique USIMM and
+//! Ramulator use and makes the controller's "is this command ready?" query
+//! O(1).
+//!
+//! The registers also bound when anything can next change. Between
+//! commands, a bank's answers are step functions of time: `can_activate`
+//! (closed bank) flips only at `next_activate`, and `can_read` /
+//! `can_write` / `can_precharge` (open bank) only at `next_column` /
+//! `next_precharge`. `DramChannel::next_event_after` takes the minimum of
+//! these with the rank (tRRD, tFAW, refresh) and bus terms. This is the
+//! sleep/wake contract of the simulator: a controller whose tick issued
+//! nothing may skip every cycle before that minimum, because every answer
+//! it could ask for stays as it was until then.
 
 use crate::timing::DramTiming;
 use hydra_types::clock::MemCycle;

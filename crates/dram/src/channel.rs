@@ -63,6 +63,24 @@ impl Rank {
         oldest == 0 || now >= oldest + timing.tfaw
     }
 
+    /// The first cycle after `now` at which any of this rank's activate,
+    /// column, precharge or refresh predicates can change value.
+    fn next_event_after(&self, timing: &DramTiming, now: MemCycle) -> MemCycle {
+        let oldest = self.faw[self.faw_cursor];
+        let faw_free = if oldest == 0 { 0 } else { oldest + timing.tfaw };
+        let banks = self.banks.iter().flat_map(|b| match b.open_row() {
+            // An open bank cannot activate; a closed one cannot read,
+            // write or precharge.
+            Some(_) => [b.column_ready_at(), b.precharge_ready_at()],
+            None => [b.activate_ready_at(), 0],
+        });
+        [self.next_act_any, faw_free]
+            .into_iter()
+            .chain(banks)
+            .filter(|&t| t > now)
+            .fold(self.refresh.next_event_after(now), MemCycle::min)
+    }
+
     fn record_activate(&mut self, timing: &DramTiming, now: MemCycle) {
         self.faw[self.faw_cursor] = now;
         self.faw_cursor = (self.faw_cursor + 1) % 4;
@@ -267,6 +285,29 @@ impl DramChannel {
         issued
     }
 
+    /// The channel's next event after `now`: the first cycle `t > now` at
+    /// which any `can_activate`, `can_read`, `can_write` or `can_precharge`
+    /// answer, or any rank's refresh `is_due`, can differ from its answer
+    /// at `now + 1`, given no command is issued in between. The terms are
+    /// every bank's `next_activate` (closed banks) or `next_column` and
+    /// `next_precharge` (open banks), every rank's tRRD limit
+    /// (`next_act_any`), its oldest tFAW slot + tFAW, its refresh
+    /// `next_due` and `busy_until`, and the data bus's `bus_free_at`.
+    ///
+    /// A controller whose tick found nothing to do can skip every cycle
+    /// before this one. Returns `MemCycle::MAX` if nothing is pending.
+    pub fn next_event_after(&self, now: MemCycle) -> MemCycle {
+        let bus = if self.bus_free_at > now {
+            self.bus_free_at
+        } else {
+            MemCycle::MAX
+        };
+        self.ranks
+            .iter()
+            .map(|r| r.next_event_after(&self.timing, now))
+            .fold(bus, MemCycle::min)
+    }
+
     /// Earliest cycle at which another column command may issue (data bursts
     /// pipeline behind CAS latency, so back-to-back commands are legal every
     /// `burst` cycles).
@@ -349,6 +390,29 @@ mod tests {
         // (one burst per `burst` cycles; CAS latency pipelines).
         assert!(!ch.can_read(0, 1, first_ready + t.burst - 1));
         assert!(ch.can_read(0, 1, first_ready + t.burst));
+    }
+
+    #[test]
+    fn next_event_covers_trrd_tfaw_and_the_bus() {
+        let mut ch = DramChannel::new(MemGeometry::isca22_baseline(), DramTiming::ddr4_3200(), 0);
+        let t = *ch.timing();
+        // Four ACTs as fast as tRRD allows (from cycle 1: an ACT at cycle
+        // 0 does not occupy a tFAW slot).
+        for (i, bank) in (0..4u8).enumerate() {
+            let at = 1 + i as MemCycle * t.trrd;
+            if i > 0 {
+                assert_eq!(ch.next_event_after(at - 1), at, "tRRD ends at {at}");
+            }
+            ch.activate(0, bank, 1, at);
+        }
+        // A fifth ACT waits for tFAW after the first, past tRRD.
+        let last = 1 + 3 * t.trrd;
+        assert!(1 + t.tfaw > last + t.trrd);
+        assert_eq!(ch.next_event_after(last + t.trrd), 1 + t.tfaw);
+        // Once the row is open, a read holds the bus for one burst.
+        let read_at = 1 + t.tfaw;
+        ch.read(0, 0, read_at);
+        assert_eq!(ch.next_event_after(read_at), read_at + t.burst);
     }
 
     #[test]

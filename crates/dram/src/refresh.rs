@@ -57,6 +57,17 @@ impl RefreshState {
         self.busy_until
     }
 
+    /// The first cycle after `now` at which [`Self::is_due`] or
+    /// [`Self::is_refreshing`] can change value (`MemCycle::MAX` if
+    /// neither can without another [`Self::begin_refresh`]).
+    pub fn next_event_after(&self, now: MemCycle) -> MemCycle {
+        [self.next_due, self.busy_until]
+            .into_iter()
+            .filter(|&t| t > now)
+            .min()
+            .unwrap_or(MemCycle::MAX)
+    }
+
     /// Number of REF commands issued so far.
     pub fn refreshes_issued(&self) -> u64 {
         self.refreshes_issued
@@ -114,6 +125,16 @@ mod tests {
         r.begin_refresh(late, &t);
         assert!(!r.is_due(late + 1));
         assert!(r.is_due(late + t.trefi));
+    }
+
+    #[test]
+    fn next_event_is_the_due_time_then_the_refresh_end() {
+        let t = DramTiming::ddr4_3200();
+        let mut r = RefreshState::new(&t, 0);
+        assert_eq!(r.next_event_after(0), t.trefi);
+        let end = r.begin_refresh(t.trefi, &t);
+        assert_eq!(r.next_event_after(t.trefi), end);
+        assert_eq!(r.next_event_after(end), 2 * t.trefi);
     }
 
     #[test]

@@ -16,6 +16,15 @@
 //! One command (ACT/RD/WR/PRE) issues per memory cycle per channel,
 //! approximating the command bus. Every ACT is reported to the tracker; the
 //! tracker's response enqueues victim refreshes and side traffic.
+//!
+//! **Sleeping.** A tick that issues no command, starts no REF and closes no
+//! victim-refresh bank changes nothing, and every later tick would do the
+//! same until some time-dependent condition flips. The controller then
+//! sleeps until [`MemController::wake_at`]: the smallest of the channel's
+//! next event ([`DramChannel::next_event_after`]), the next window reset,
+//! the side-queue head's promotion age and the rate-limit blacklist
+//! expiries that lie after the tick. Ticks before it return at once. Any
+//! enqueue wakes the controller.
 
 use crate::config::SystemConfig;
 use crate::rowswap::RowIndirection;
@@ -125,6 +134,12 @@ pub struct MemController {
     blacklist: HashMap<RowAddr, MemCycle>,
     /// Logical→physical row remapping (row-swap mitigation only).
     indirection: Option<RowIndirection>,
+    /// Ticks before this cycle cannot change any state (see the module
+    /// docs); 0 while awake.
+    wake_at: MemCycle,
+    /// Scratch bitset for the FCFS pass: bit `rank * banks + bank` is set
+    /// once an older request owns that bank's next command.
+    claimed_banks: Vec<u64>,
     stats: ControllerStats,
     /// Optional telemetry sink for queue enqueue/issue events; `None` costs
     /// one branch per emission site.
@@ -165,6 +180,13 @@ impl MemController {
                 )),
                 _ => None,
             },
+            wake_at: 0,
+            claimed_banks: vec![
+                0;
+                (usize::from(config.geometry.ranks_per_channel())
+                    * usize::from(config.geometry.banks_per_rank()))
+                .div_ceil(64)
+            ],
             stats: ControllerStats::default(),
             probe: None,
         }
@@ -213,6 +235,12 @@ impl MemController {
         self.tracker.as_ref()
     }
 
+    /// The earliest cycle whose tick can change any state: ticks before it
+    /// are no-ops. At most the current cycle while awake.
+    pub fn wake_at(&self) -> MemCycle {
+        self.wake_at
+    }
+
     /// True when every queue is empty (used to drain at end of run).
     pub fn is_idle(&self) -> bool {
         self.read_q.is_empty()
@@ -232,6 +260,7 @@ impl MemController {
             .indirection
             .as_ref()
             .map_or(logical, |i| i.physical(logical));
+        self.wake_at = 0;
         let id = self.next_id;
         self.next_id += 256;
         self.read_q.push_back(Request {
@@ -261,6 +290,7 @@ impl MemController {
             .indirection
             .as_ref()
             .map_or(logical, |i| i.physical(logical));
+        self.wake_at = 0;
         let id = self.next_id;
         self.next_id += 256;
         self.write_q.push_back(Request {
@@ -387,7 +417,14 @@ impl MemController {
 
     /// Advances one memory cycle; returns any demand reads whose data burst
     /// was scheduled this cycle (their `done_at` may be in the future).
+    ///
+    /// Cycles must be ticked in increasing order; cycles before
+    /// [`Self::wake_at`] may be skipped, since their ticks do nothing.
     pub fn tick(&mut self, now: MemCycle) -> Vec<CompletedRead> {
+        let mut completions = Vec::new();
+        if now < self.wake_at {
+            return completions;
+        }
         // Tracking-window reset (Sec. 4.6).
         if now >= self.next_window_reset {
             self.tracker.reset_window(now);
@@ -398,7 +435,7 @@ impl MemController {
             // Rate-limit blacklists expire with the window.
             self.blacklist.retain(|_, &mut until| until > now);
         }
-        self.dram.maintain_refresh(now);
+        let refreshes = self.dram.maintain_refresh(now);
 
         // Write-drain hysteresis.
         if self.write_q.len() >= self.write_high {
@@ -407,13 +444,30 @@ impl MemController {
             self.draining_writes = false;
         }
 
-        let mut completions = Vec::new();
         if self.try_issue(now, &mut completions) {
             return completions;
         }
         // Nothing issued: use the idle cycle to close victim-refresh banks.
-        self.service_auto_close(now);
+        if !self.service_auto_close(now) && refreshes == 0 {
+            self.wake_at = self.next_event_after(now);
+        }
         completions
+    }
+
+    /// The first cycle after `now` at which a tick can act differently
+    /// from one at `now + 1`, given no enqueue and no command in between:
+    /// the earliest of the channel's next event, the next window reset,
+    /// the side-queue head's promotion age, and the blacklist expiries.
+    fn next_event_after(&self, now: MemCycle) -> MemCycle {
+        let side_promotion = self.side_q.front().map(|r| r.arrival + SIDE_PROMOTE_AGE);
+        side_promotion
+            .into_iter()
+            .chain(self.blacklist.values().copied())
+            .filter(|&t| t > now)
+            .fold(
+                self.dram.next_event_after(now).min(self.next_window_reset),
+                MemCycle::min,
+            )
     }
 
     /// Attempts to issue one command, in priority order. Returns true if a
@@ -479,15 +533,17 @@ impl MemController {
         false
     }
 
-    fn service_auto_close(&mut self, now: MemCycle) {
+    /// Closes one victim-refresh bank if any may precharge; true if one did.
+    fn service_auto_close(&mut self, now: MemCycle) -> bool {
         for i in 0..self.auto_close.len() {
             let (rank, bank) = self.auto_close[i];
             if self.dram.can_precharge(rank, bank, now) {
                 self.dram.precharge(rank, bank, now);
                 self.auto_close.swap_remove(i);
-                return;
+                return true;
             }
         }
+        false
     }
 
     fn issue_from_queue(
@@ -500,18 +556,17 @@ impl MemController {
         // depth-capped: the side queue can grow very large under bursty
         // metadata traffic (e.g. row-swap copies), and an O(queue) scan per
         // cycle would melt down; the head window preserves FR-FCFS behaviour
-        // where it matters.
-        let queue = self.queue(sel);
-        let mut column_candidate = None;
-        for (i, req) in queue.iter().take(SCAN_DEPTH).enumerate() {
-            let (rank, bank) = (req.row.rank, req.row.bank);
-            if self.dram.open_row(rank, bank) == Some(req.row.row)
-                && self.dram.can_read(rank, bank, now)
-            {
-                column_candidate = Some(i);
-                break;
-            }
-        }
+        // where it matters. No column command can issue while the data bus
+        // is busy, so the scan is skipped then.
+        let column_candidate = if now < self.dram.bus_free_at() {
+            None
+        } else {
+            self.queue(sel).iter().take(SCAN_DEPTH).position(|req| {
+                let (rank, bank) = (req.row.rank, req.row.bank);
+                self.dram.open_row(rank, bank) == Some(req.row.row)
+                    && self.dram.can_read(rank, bank, now)
+            })
+        };
         // The candidate index came from the same queue a moment ago, so the
         // remove cannot miss; the if-let just avoids a panic path.
         if let Some(req) = column_candidate.and_then(|i| self.queue_mut(sel).remove(i)) {
@@ -549,8 +604,15 @@ impl MemController {
         // state (activate a closed bank, or precharge a conflicting row).
         // Younger requests to the same bank must not steal its precharge —
         // that would serialize conflicts across banks.
-        let queue = self.queue(sel);
-        let mut seen_banks: u64 = 0;
+        let queue = match sel {
+            QueueSel::Read => &self.read_q,
+            QueueSel::Write => &self.write_q,
+            QueueSel::Side => &self.side_q,
+        };
+        let banks_per_rank = usize::from(self.dram.geometry().banks_per_rank());
+        let claimed = &mut self.claimed_banks;
+        claimed.fill(0);
+        let mut command = None;
         for &req in queue.iter().take(SCAN_DEPTH) {
             // Rate-limited rows may not be (re)activated; let younger
             // requests proceed around them.
@@ -562,31 +624,41 @@ impl MemController {
                 continue;
             }
             let (rank, bank) = (req.row.rank, req.row.bank);
-            let bank_bit = 1u64 << (u32::from(rank) * 16 + u32::from(bank)).min(63);
-            if seen_banks & bank_bit != 0 {
+            let slot = usize::from(rank) * banks_per_rank + usize::from(bank);
+            let (word, bit) = (slot / 64, 1u64 << (slot % 64));
+            if claimed[word] & bit != 0 {
                 continue; // an older request owns this bank's next command
             }
-            seen_banks |= bank_bit;
+            claimed[word] |= bit;
             match self.dram.open_row(rank, bank) {
                 None if self.dram.can_activate(rank, bank, now) => {
-                    self.dram.activate(rank, bank, req.row.row, now);
-                    let kind = match req.kind {
-                        RequestKind::SideRead | RequestKind::SideWrite => {
-                            ActivationKind::TrackerSide
-                        }
-                        _ => ActivationKind::Demand,
-                    };
-                    self.notify_tracker(req.row, now, kind);
-                    return true;
+                    command = Some((req, BankCommand::Activate));
+                    break;
                 }
                 Some(open) if open != req.row.row && self.dram.can_precharge(rank, bank, now) => {
-                    self.dram.precharge(rank, bank, now);
-                    return true;
+                    command = Some((req, BankCommand::Precharge));
+                    break;
                 }
                 _ => {} // closed but timing-blocked, open row, or waiting on the bus
             }
         }
-        false
+        match command {
+            Some((req, BankCommand::Activate)) => {
+                self.dram
+                    .activate(req.row.rank, req.row.bank, req.row.row, now);
+                let kind = match req.kind {
+                    RequestKind::SideRead | RequestKind::SideWrite => ActivationKind::TrackerSide,
+                    _ => ActivationKind::Demand,
+                };
+                self.notify_tracker(req.row, now, kind);
+                true
+            }
+            Some((req, BankCommand::Precharge)) => {
+                self.dram.precharge(req.row.rank, req.row.bank, now);
+                true
+            }
+            None => false,
+        }
     }
 
     fn queue(&self, sel: QueueSel) -> &VecDeque<Request> {
@@ -613,6 +685,13 @@ const SCAN_DEPTH: usize = 64;
 const SIDE_PROMOTE_DEPTH: usize = 8;
 /// Side-request age (cycles) beyond which it jumps ahead of reads.
 const SIDE_PROMOTE_AGE: MemCycle = 256;
+
+/// The command the FCFS pass picked for a request's bank.
+#[derive(Debug, Clone, Copy)]
+enum BankCommand {
+    Activate,
+    Precharge,
+}
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum QueueSel {
@@ -776,6 +855,51 @@ mod tests {
                 0
             )
             .is_none());
+    }
+
+    #[test]
+    fn banks_of_different_ranks_are_scheduled_independently() {
+        // 2 ranks x 32 banks: rank 0/bank 16 and rank 1/bank 0 are distinct
+        // banks and must not share an FCFS ownership slot.
+        let mut config = SystemConfig::tiny_test();
+        config.geometry = MemGeometry::new(1, 2, 32, 1024, 1024).unwrap();
+        let geom = config.geometry;
+        let mut c = MemController::new(&config, 0, Box::new(NullTracker));
+        let first = RowAddr::new(0, 0, 16, 5);
+        let second = RowAddr::new(0, 1, 0, 7);
+        c.enqueue_read(geom.line_of_row(first, 0), 0, 0);
+        c.enqueue_read(geom.line_of_row(second, 0), 0, 0);
+        c.tick(0); // activates the first request's bank
+        assert_eq!(c.dram().open_row(0, 16), Some(5));
+        // The first request now waits on tRCD and owns rank 0/bank 16; the
+        // second request's bank is free to activate in the other rank.
+        c.tick(1);
+        assert_eq!(c.dram().open_row(1, 0), Some(7));
+        assert_eq!(c.stats().demand_acts, 2);
+    }
+
+    #[test]
+    fn idle_controller_sleeps_until_the_next_event_and_wakes_on_enqueue() {
+        let mut c = controller();
+        let geom = MemGeometry::tiny();
+        let t = *c.dram().timing();
+        c.enqueue_read(geom.line_of_row(RowAddr::new(0, 0, 0, 5), 0), 0, 0);
+        // ACT at cycle 0, then tick only at wake-ups: the read must still
+        // issue exactly at tRCD.
+        c.tick(0);
+        let (mut now, mut ticks, mut done) = (1, 0, Vec::new());
+        while done.is_empty() {
+            done = c.tick(now);
+            ticks += 1;
+            now = c.wake_at().max(now + 1);
+        }
+        assert_eq!(done[0].done_at, t.trcd + t.tcas + t.burst);
+        assert!(ticks < 4, "{ticks} ticks to wait out tRCD");
+        // An enqueue wakes a sleeping controller.
+        c.tick(now);
+        assert!(c.wake_at() > now + 1);
+        c.enqueue_read(geom.line_of_row(RowAddr::new(0, 0, 1, 5), 0), 0, now);
+        assert_eq!(c.wake_at(), 0);
     }
 
     #[test]

@@ -7,12 +7,30 @@
 //! IPC loss. Writes are fire-and-forget through the write queue. This is
 //! the standard trace-driven approximation of the paper's 8-wide-window OoO
 //! cores (Table 2: 160-entry ROB, fetch/retire width 4).
+//!
+//! **Sleeping.** A tick that retires nothing because the core is blocked on
+//! its oldest miss (ROB window exhausted behind it, or every MSHR busy with
+//! a read pending) would repeat itself every cycle until that miss's data
+//! arrives. The core then sleeps until [`CoreModel::wake_at`]: the miss's
+//! data-ready cycle, or — not yet known — until [`CoreModel::data_ready`]
+//! delivers it. Ticks before it return at once; the cycles slept are
+//! still counted as stall cycles when the core wakes.
 
 use crate::controller::MemController;
 use hydra_types::clock::MemCycle;
 use hydra_workloads::trace::{TraceOp, TraceSource};
-use std::collections::HashMap;
 use std::collections::VecDeque;
+
+/// One outstanding demand read.
+#[derive(Debug, Clone, Copy)]
+struct Miss {
+    /// Request id returned by the controller.
+    id: u64,
+    /// Instructions retired when the read issued.
+    retired_at_issue: u64,
+    /// Data-ready cycle; `MemCycle::MAX` until the controller reports it.
+    ready_at: MemCycle,
+}
 
 /// One simulated core.
 pub struct CoreModel {
@@ -25,13 +43,15 @@ pub struct CoreModel {
     retired: u64,
     gap_remaining: u32,
     /// The memory op whose gap has been consumed but which has not yet been
-    /// accepted by the controller (backpressure).
-    pending: Option<TraceOp>,
-    /// Outstanding misses: (request id, retired count at issue), oldest first.
-    outstanding: VecDeque<(u64, u64)>,
-    /// Data-ready times for outstanding requests, filled by completions.
-    ready_at: HashMap<u64, MemCycle>,
+    /// accepted by the controller (backpressure), with its channel.
+    pending: Option<(TraceOp, u8)>,
+    /// Outstanding misses, oldest first.
+    outstanding: VecDeque<Miss>,
     stall_cycles: u64,
+    /// Ticks before this cycle cannot make progress; 0 while awake.
+    wake_at: MemCycle,
+    /// The cycle of the tick that put the core to sleep.
+    slept_at: MemCycle,
 }
 
 impl CoreModel {
@@ -56,8 +76,9 @@ impl CoreModel {
             gap_remaining: 0,
             pending: None,
             outstanding: VecDeque::new(),
-            ready_at: HashMap::new(),
             stall_cycles: 0,
+            wake_at: 0,
+            slept_at: 0,
         }
     }
 
@@ -76,60 +97,85 @@ impl CoreModel {
         self.retired >= self.target_instructions
     }
 
-    /// Memory cycles in which the core could not retire anything.
+    /// Memory cycles in which the core could not retire anything (cycles
+    /// of a sleep in progress are added when the core wakes).
     pub fn stall_cycles(&self) -> u64 {
         self.stall_cycles
     }
 
+    /// The earliest cycle whose tick can make progress: ticks before it
+    /// are no-ops. At most the current cycle while awake;
+    /// `MemCycle::MAX` while waiting for a completion not yet reported.
+    pub fn wake_at(&self) -> MemCycle {
+        self.wake_at
+    }
+
     /// Records a completed read (called by the system when the controller
-    /// reports it).
+    /// reports it). Wakes the core at `at` if it sleeps on this read.
     pub fn data_ready(&mut self, request_id: u64, at: MemCycle) {
-        self.ready_at.insert(request_id, at);
+        if let Some(miss) = self.outstanding.iter_mut().find(|m| m.id == request_id) {
+            miss.ready_at = at;
+        }
+        if self.wake_at == MemCycle::MAX
+            && self.outstanding.front().is_some_and(|m| m.id == request_id)
+        {
+            self.wake_at = at;
+        }
     }
 
     /// The channel of the next memory operation this core will issue
     /// (fetching it from the trace if necessary). The system uses this to
     /// hand the core the right channel's controller each cycle.
     pub fn next_op_channel(&mut self, geometry: &hydra_types::MemGeometry) -> u8 {
-        if self.pending.is_none() {
+        let (_, channel) = *self.pending.get_or_insert_with(|| {
             let op = self.trace.next_op();
             self.gap_remaining += op.gap;
-            self.pending = Some(TraceOp { gap: 0, ..op });
-        }
-        self.pending
-            .as_ref()
-            .map(|op| geometry.row_of_line(op.addr).channel)
-            .unwrap_or(0)
+            (
+                TraceOp { gap: 0, ..op },
+                geometry.row_of_line(op.addr).channel,
+            )
+        });
+        channel
     }
 
     /// Retires completed misses whose data has arrived by `now`.
     fn retire_ready_misses(&mut self, now: MemCycle) {
-        while let Some(&(id, _)) = self.outstanding.front() {
-            match self.ready_at.get(&id) {
-                Some(&t) if t <= now => {
-                    self.ready_at.remove(&id);
-                    self.outstanding.pop_front();
-                }
-                _ => break,
-            }
+        while self.outstanding.front().is_some_and(|m| m.ready_at <= now) {
+            self.outstanding.pop_front();
         }
     }
 
     /// True if the ROB window is exhausted behind the oldest miss.
     fn rob_blocked(&self) -> bool {
-        match self.outstanding.front() {
-            Some(&(_, at_issue)) => self.retired - at_issue >= self.rob_size,
-            None => false,
-        }
+        self.outstanding
+            .front()
+            .is_some_and(|m| self.retired - m.retired_at_issue >= self.rob_size)
+    }
+
+    /// True if nothing can retire before the oldest miss completes: the
+    /// ROB is exhausted behind it, or a read for `channel` waits on a full
+    /// set of MSHRs.
+    fn blocked_on_oldest_miss(&self, channel: u8) -> bool {
+        let mshrs_full = self.outstanding.len() >= self.max_outstanding
+            && matches!(self.pending, Some((op, ch)) if !op.is_write && ch == channel);
+        self.rob_blocked() || mshrs_full
     }
 
     /// Advances one memory cycle, retiring instructions and issuing memory
     /// operations into `controller`. Operations whose address belongs to a
     /// different channel than `controller` stay pending until the system
     /// hands this core the owning channel's controller.
+    ///
+    /// Cycles must be ticked in increasing order; cycles before
+    /// [`Self::wake_at`] may be skipped, since their ticks do nothing.
     pub fn tick(&mut self, now: MemCycle, controller: &mut MemController) {
-        if self.is_done() {
+        if self.is_done() || now < self.wake_at {
             return;
+        }
+        if self.wake_at > 0 {
+            // Every cycle slept through was a stall.
+            self.stall_cycles += now - self.slept_at - 1;
+            self.wake_at = 0;
         }
         self.retire_ready_misses(now);
         let geometry = *controller.dram().geometry();
@@ -150,38 +196,43 @@ impl CoreModel {
                 continue;
             }
             // Fetch (or resume) the next memory op.
-            let op = match self.pending.take() {
-                Some(op) => op,
+            let (op, op_channel) = match self.pending.take() {
+                Some(pending) => pending,
                 None => {
                     let op = self.trace.next_op();
+                    let op_channel = geometry.row_of_line(op.addr).channel;
                     if op.gap > 0 {
                         self.gap_remaining = op.gap;
-                        self.pending = Some(TraceOp { gap: 0, ..op });
+                        self.pending = Some((TraceOp { gap: 0, ..op }, op_channel));
                         continue;
                     }
-                    op
+                    (op, op_channel)
                 }
             };
-            if geometry.row_of_line(op.addr).channel != channel {
+            if op_channel != channel {
                 // Wrong channel this cycle: resume when the system routes us
                 // to the owning controller.
-                self.pending = Some(op);
+                self.pending = Some((op, op_channel));
                 break;
             }
             if op.is_write {
                 if !controller.enqueue_write(op.addr, now) {
-                    self.pending = Some(op);
+                    self.pending = Some((op, op_channel));
                     break;
                 }
             } else {
                 if self.outstanding.len() >= self.max_outstanding {
-                    self.pending = Some(op);
+                    self.pending = Some((op, op_channel));
                     break;
                 }
                 match controller.enqueue_read(op.addr, self.id, now) {
-                    Some(id) => self.outstanding.push_back((id, self.retired)),
+                    Some(id) => self.outstanding.push_back(Miss {
+                        id,
+                        retired_at_issue: self.retired,
+                        ready_at: MemCycle::MAX,
+                    }),
                     None => {
-                        self.pending = Some(op);
+                        self.pending = Some((op, op_channel));
                         break;
                     }
                 }
@@ -192,6 +243,13 @@ impl CoreModel {
         }
         if !progressed {
             self.stall_cycles += 1;
+            if self.blocked_on_oldest_miss(channel) {
+                self.slept_at = now;
+                self.wake_at = self
+                    .outstanding
+                    .front()
+                    .map_or(MemCycle::MAX, |m| m.ready_at);
+            }
         }
     }
 }
@@ -309,6 +367,36 @@ mod tests {
         // Writes drain in the background; retirement proceeds at near full
         // width (each op is 1 compute + 1 write = 2 instructions).
         assert!(cycles < 10_000, "took {cycles} cycles");
+    }
+
+    #[test]
+    fn skipping_a_sleeping_core_changes_nothing() {
+        let geom = MemGeometry::tiny();
+        let ops = vec![
+            TraceOp::read(3, geom.line_of_row(RowAddr::new(0, 0, 0, 1), 0)),
+            TraceOp::read(0, geom.line_of_row(RowAddr::new(0, 0, 0, 100), 0)),
+            TraceOp::write(2, geom.line_of_row(RowAddr::new(0, 0, 1, 7), 0)),
+        ];
+        let (mut stepped, mut stepped_ctrl) = core_with(ops.clone(), 5_000);
+        let stepped_cycles = run(&mut stepped, &mut stepped_ctrl, 1_000_000);
+        // Same run, but the core is ticked only once it is awake.
+        let (mut core, mut ctrl) = core_with(ops, 5_000);
+        let (mut now, mut ticks) = (0, 0);
+        while !core.is_done() {
+            for done in ctrl.tick(now) {
+                core.data_ready(done.id, done.done_at);
+            }
+            if core.wake_at() <= now {
+                core.tick(now, &mut ctrl);
+                ticks += 1;
+            }
+            now += 1;
+        }
+        assert_eq!(now, stepped_cycles);
+        assert_eq!(core.retired(), stepped.retired());
+        assert_eq!(core.stall_cycles(), stepped.stall_cycles());
+        assert!(core.stall_cycles() > 0);
+        assert!(ticks < now, "the core never slept");
     }
 
     #[test]

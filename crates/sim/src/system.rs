@@ -94,6 +94,15 @@ impl SystemSim {
     /// Runs to completion (every core retires its budget) and returns the
     /// aggregate result.
     ///
+    /// Time advances event by event: a controller or core whose last tick
+    /// could not have changed anything sleeps until its
+    /// [`MemController::wake_at`] / [`CoreModel::wake_at`] and is not
+    /// ticked before then, and while some core is still running, cycles
+    /// in which every component sleeps are skipped outright. The result is
+    /// exactly that of ticking every component every cycle. A sleeping
+    /// core draws its next trace op only once it wakes, so each core's
+    /// trace must not depend on the order of draws across cores.
+    ///
     /// # Panics
     ///
     /// Panics if the simulation exceeds a safety bound of 100 billion
@@ -101,16 +110,19 @@ impl SystemSim {
     pub fn run(&mut self) -> SimResult {
         let mut now: MemCycle = 0;
         const SAFETY_BOUND: MemCycle = 100_000_000_000;
+        let geometry = self.config.geometry;
         while !self.cores.iter().all(|c| c.is_done()) {
             for controller in &mut self.controllers {
+                if controller.wake_at() > now {
+                    continue;
+                }
                 for done in controller.tick(now) {
                     self.cores[done.core].data_ready(done.id, done.done_at);
                 }
             }
             let controllers = &mut self.controllers;
-            let geometry = self.config.geometry;
             for core in &mut self.cores {
-                if core.is_done() {
+                if core.is_done() || core.wake_at() > now {
                     continue;
                 }
                 // Route the core to the channel owning its next memory op;
@@ -119,47 +131,23 @@ impl SystemSim {
                 let index = usize::from(channel) % controllers.len();
                 core.tick(now, &mut controllers[index]);
             }
-            now += 1;
+            // Jump to the earliest wake-up, but only while a core runs:
+            // the run ends the cycle after its last core retires.
+            let core_wake = self
+                .cores
+                .iter()
+                .filter(|c| !c.is_done())
+                .map(CoreModel::wake_at)
+                .min();
+            now = match core_wake {
+                Some(wake) => controllers
+                    .iter()
+                    .map(MemController::wake_at)
+                    .fold(wake, MemCycle::min)
+                    .max(now + 1),
+                None => now + 1,
+            };
             assert!(now < SAFETY_BOUND, "simulation deadlock");
-        }
-        self.collect(now)
-    }
-
-    /// Like [`Self::run`], but invokes `report` with a progress summary
-    /// every `report_every` cycles — a debugging aid for stuck
-    /// configurations. The library never prints; the caller decides where
-    /// the summary goes (a bin's stderr, a log sink, a test buffer).
-    pub fn run_with_progress<F>(&mut self, report_every: MemCycle, mut report: F) -> SimResult
-    where
-        F: FnMut(&str),
-    {
-        use std::fmt::Write as _;
-        let mut now: MemCycle = 0;
-        while !self.cores.iter().all(|c| c.is_done()) {
-            if report_every > 0 && now.is_multiple_of(report_every) && now > 0 {
-                let retired: Vec<u64> = self.cores.iter().map(|c| c.retired()).collect();
-                let mut summary = format!("cycle {now}: retired {retired:?}");
-                for (i, c) in self.controllers.iter().enumerate() {
-                    let _ = write!(summary, "\n  ch{i}: {c:?}");
-                }
-                report(&summary);
-            }
-            for controller in &mut self.controllers {
-                for done in controller.tick(now) {
-                    self.cores[done.core].data_ready(done.id, done.done_at);
-                }
-            }
-            let controllers = &mut self.controllers;
-            let geometry = self.config.geometry;
-            for core in &mut self.cores {
-                if core.is_done() {
-                    continue;
-                }
-                let channel = core.next_op_channel(&geometry);
-                let index = usize::from(channel) % controllers.len();
-                core.tick(now, &mut controllers[index]);
-            }
-            now += 1;
         }
         self.collect(now)
     }
