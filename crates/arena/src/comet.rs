@@ -26,9 +26,10 @@
 //! tiers cleared at every window reset, the window-split argument bounds
 //! unmitigated accumulation by `2·(T_H − 1) < T_RH`.
 
-use crate::tracker::{ActStats, Tracker, TrackerDecision};
 use hydra_baselines::sketch::CountMinSketch;
-use hydra_types::{ActivationKind, ConfigError, MemCycle, MemGeometry, RowAddr};
+use hydra_types::{
+    ActivationKind, ActivationTracker, ConfigError, MemCycle, MemGeometry, RowAddr, TrackerResponse,
+};
 use std::collections::HashMap;
 
 /// CoMeT configuration. See the module docs for the roles of the fields.
@@ -149,96 +150,9 @@ impl Comet {
         self.rat_full_mitigations
     }
 
-    fn bank_index(&self, row: RowAddr) -> usize {
-        usize::from(row.rank) * usize::from(self.banks_per_rank) + usize::from(row.bank)
-    }
-}
-
-impl Tracker for Comet {
-    fn activate(&mut self, row: RowAddr, _now: MemCycle, _kind: ActivationKind) -> TrackerDecision {
-        debug_assert_eq!(row.channel, self.channel);
-        let t_h = u64::from(self.config.t_h);
-        let idx = self.bank_index(row);
-        let rat_entries = self.config.rat_entries;
-        let bank = &mut self.banks[idx];
-
-        if let Some(count) = bank.rat.get_mut(&row.row) {
-            // Tier 2: exact recounting.
-            *count = count.saturating_add(1);
-            let estimate = *count;
-            if estimate >= t_h {
-                *count = 0;
-                self.mitigations += 1;
-                return TrackerDecision::mitigate(row).with_stats(ActStats {
-                    estimate,
-                    tracked: true,
-                });
-            }
-            return TrackerDecision::none().with_stats(ActStats {
-                estimate,
-                tracked: true,
-            });
-        }
-
-        // Tier 1: sketch counting.
-        let estimate = bank.sketch.increment(u64::from(row.row));
-        if estimate < u64::from(self.config.t_early) {
-            return TrackerDecision::none().with_stats(ActStats {
-                estimate,
-                tracked: false,
-            });
-        }
-        // Promotion. A sketch estimate at/above T_H mitigates right away
-        // (the seed would trip the exact tier on its next activation
-        // anyway); otherwise the row recounts exactly from its upper bound.
-        if bank.rat.len() >= rat_entries {
-            // RAT full: mitigate the incoming row now. Never spurious —
-            // this very activation touched it.
-            self.rat_full_mitigations += 1;
-            self.mitigations += 1;
-            return TrackerDecision::mitigate(row).with_stats(ActStats {
-                estimate,
-                tracked: false,
-            });
-        }
-        if estimate >= t_h {
-            bank.rat.insert(row.row, 0);
-            self.mitigations += 1;
-            return TrackerDecision::mitigate(row).with_stats(ActStats {
-                estimate,
-                tracked: true,
-            });
-        }
-        bank.rat.insert(row.row, estimate);
-        TrackerDecision::none().with_stats(ActStats {
-            estimate,
-            tracked: true,
-        })
-    }
-
-    fn window_reset(&mut self, _now: MemCycle) {
-        for bank in &mut self.banks {
-            bank.sketch.clear();
-            bank.rat.clear();
-        }
-    }
-
-    fn name(&self) -> &str {
-        "comet"
-    }
-
-    fn params(&self) -> String {
-        format!(
-            "t_h={} t_early={} width={} depth={} rat={}",
-            self.config.t_h,
-            self.config.t_early,
-            self.config.width,
-            self.config.depth,
-            self.config.rat_entries
-        )
-    }
-
-    fn sram_bits(&self) -> u64 {
+    /// On-chip state in bits (rounded up to bytes by
+    /// [`ActivationTracker::sram_bytes`]).
+    pub fn sram_bits(&self) -> u64 {
         // Per bank: width × depth sketch counters at 16 bits (saturating at
         // T_H ≤ 2400 for every swept threshold) plus RAT entries holding a
         // row id (~17 bits in the paper's geometry, kept at 17 here) and an
@@ -252,6 +166,74 @@ impl Tracker for Comet {
         let rat_entry_bits = 17 + u64::from(u32::BITS - self.config.t_h.leading_zeros());
         let rat_bits = (self.config.rat_entries as u64).saturating_mul(rat_entry_bits);
         (self.banks.len() as u64).saturating_mul(sketch_bits.saturating_add(rat_bits))
+    }
+
+    fn bank_index(&self, row: RowAddr) -> usize {
+        usize::from(row.rank) * usize::from(self.banks_per_rank) + usize::from(row.bank)
+    }
+}
+
+impl ActivationTracker for Comet {
+    fn on_activation(
+        &mut self,
+        row: RowAddr,
+        _now: MemCycle,
+        _kind: ActivationKind,
+    ) -> TrackerResponse {
+        debug_assert_eq!(row.channel, self.channel);
+        let t_h = u64::from(self.config.t_h);
+        let idx = self.bank_index(row);
+        let rat_entries = self.config.rat_entries;
+        let bank = &mut self.banks[idx];
+
+        if let Some(count) = bank.rat.get_mut(&row.row) {
+            // Tier 2: exact recounting.
+            *count = count.saturating_add(1);
+            if *count >= t_h {
+                *count = 0;
+                self.mitigations += 1;
+                return TrackerResponse::mitigate(row);
+            }
+            return TrackerResponse::none();
+        }
+
+        // Tier 1: sketch counting.
+        let estimate = bank.sketch.increment(u64::from(row.row));
+        if estimate < u64::from(self.config.t_early) {
+            return TrackerResponse::none();
+        }
+        // Promotion. A sketch estimate at/above T_H mitigates right away
+        // (the seed would trip the exact tier on its next activation
+        // anyway); otherwise the row recounts exactly from its upper bound.
+        if bank.rat.len() >= rat_entries {
+            // RAT full: mitigate the incoming row now. Never spurious —
+            // this very activation touched it.
+            self.rat_full_mitigations += 1;
+            self.mitigations += 1;
+            return TrackerResponse::mitigate(row);
+        }
+        if estimate >= t_h {
+            bank.rat.insert(row.row, 0);
+            self.mitigations += 1;
+            return TrackerResponse::mitigate(row);
+        }
+        bank.rat.insert(row.row, estimate);
+        TrackerResponse::none()
+    }
+
+    fn reset_window(&mut self, _now: MemCycle) {
+        for bank in &mut self.banks {
+            bank.sketch.clear();
+            bank.rat.clear();
+        }
+    }
+
+    fn name(&self) -> &str {
+        "comet"
+    }
+
+    fn sram_bytes(&self) -> u64 {
+        self.sram_bits().div_ceil(8)
     }
 
     fn max_spillover(&self) -> u64 {
@@ -282,13 +264,39 @@ mod tests {
         }
     }
 
+    /// `comet(64)`'s thresholds (`t_h` = 32, `t_early` = 8) with a single
+    /// RAT entry per bank, so whether one row is resident shows in how a
+    /// second row's promotion goes: into the free entry, or into the
+    /// RAT-full fallback that mitigates it on the spot.
+    fn comet_one_rat_entry() -> Comet {
+        let config = CometConfig {
+            rat_entries: 1,
+            ..match CometConfig::for_threshold(64) {
+                Ok(c) => c,
+                Err(e) => panic!("config: {e}"),
+            }
+        };
+        match Comet::new(MemGeometry::tiny(), 0, config) {
+            Ok(c) => c,
+            Err(e) => panic!("comet: {e}"),
+        }
+    }
+
+    /// Activates `row` `n` times; returns the 1-based activations that
+    /// drew a mitigation.
+    fn hammer(c: &mut Comet, row: RowAddr, n: u64) -> Vec<u64> {
+        (1..=n)
+            .filter(|&i| !c.on_activation(row, i, Demand).mitigations.is_empty())
+            .collect()
+    }
+
     #[test]
     fn single_aggressor_is_mitigated_at_or_before_t_h() {
         let mut c = comet(64);
         let row = RowAddr::new(0, 0, 0, 7);
         let mut first_mitigation = None;
         for i in 1..=64u64 {
-            let d = c.activate(row, i, Demand);
+            let d = c.on_activation(row, i, Demand);
             if !d.mitigations.is_empty() && first_mitigation.is_none() {
                 first_mitigation = Some(i);
             }
@@ -300,17 +308,33 @@ mod tests {
 
     #[test]
     fn promotion_seeds_the_rat_with_the_estimate() {
-        let mut c = comet(64); // t_h = 32, t_early = 8
+        // t_h = 32, t_early = 8. With a single key the sketch is exact, so
+        // the row is promoted at its 8th activation seeded with 8 and then
+        // counts exactly: it mitigates exactly at T_H, and again T_H later
+        // from the reset entry. A seed of 0 would first fire at 40.
+        let mut c = comet(64);
         let row = RowAddr::new(0, 0, 0, 7);
-        for i in 1..=8u64 {
-            let d = c.activate(row, i, Demand);
-            let expected_tracked = i >= 8;
-            assert_eq!(d.stats.tracked, expected_tracked, "act {i}");
-        }
-        // Exactly at promotion the estimate equals the true count (no
-        // collisions with a single key): the seed is exact here.
-        let d = c.activate(row, 9, Demand);
-        assert_eq!(d.stats.estimate, 9);
+        assert_eq!(hammer(&mut c, row, 64), vec![32, 64]);
+        assert_eq!(c.rat_full_mitigations(), 0);
+
+        // Below `t_early` the row stays in the sketch: after 7 activations
+        // the single RAT entry is still free for another row's promotion...
+        let (a, b) = (RowAddr::new(0, 0, 0, 7), RowAddr::new(0, 0, 0, 9));
+        let mut c = comet_one_rat_entry();
+        assert!(hammer(&mut c, a, 7).is_empty());
+        assert!(hammer(&mut c, b, 8).is_empty());
+        assert_eq!(c.rat_full_mitigations(), 0);
+        // ...and at its 8th activation the row is promoted, so it now
+        // finds that entry taken and falls back to mitigation.
+        assert_eq!(hammer(&mut c, a, 1), vec![1]);
+        assert_eq!(c.rat_full_mitigations(), 1);
+
+        // At exactly `t_early` activations the row holds the entry, and
+        // the other row's promotion is the one that overflows.
+        let mut c = comet_one_rat_entry();
+        assert!(hammer(&mut c, a, 8).is_empty());
+        assert_eq!(hammer(&mut c, b, 8), vec![8]);
+        assert_eq!(c.rat_full_mitigations(), 1);
     }
 
     #[test]
@@ -329,24 +353,33 @@ mod tests {
         // Three distinct rows, t_early = 1: the third promotion finds the
         // RAT full and must mitigate instead of going untracked.
         for r in 0..2u32 {
-            c.activate(RowAddr::new(0, 0, 0, r), 0, Demand);
+            c.on_activation(RowAddr::new(0, 0, 0, r), 0, Demand);
         }
-        let d = c.activate(RowAddr::new(0, 0, 0, 2), 0, Demand);
+        let d = c.on_activation(RowAddr::new(0, 0, 0, 2), 0, Demand);
         assert_eq!(d.mitigations.len(), 1);
         assert_eq!(c.rat_full_mitigations(), 1);
     }
 
     #[test]
     fn window_reset_clears_both_tiers() {
+        // Before the reset the row is RAT-resident with a count of 20.
+        // Afterwards it needs a full T_H = 32 fresh activations: a surviving
+        // RAT entry, or a surviving sketch estimate re-seeding it, would
+        // fire 12 activations in.
         let mut c = comet(64);
         let row = RowAddr::new(0, 0, 0, 7);
-        for i in 0..20u64 {
-            c.activate(row, i, Demand);
-        }
-        c.window_reset(100);
-        let d = c.activate(row, 101, Demand);
-        assert_eq!(d.stats.estimate, 1, "fresh window starts from scratch");
-        assert!(!d.stats.tracked);
+        assert!(hammer(&mut c, row, 20).is_empty());
+        c.reset_window(100);
+        assert_eq!(hammer(&mut c, row, 32), vec![32]);
+
+        // One activation into the fresh window the row is untracked again:
+        // the single RAT entry is free for another row's promotion.
+        let mut c = comet_one_rat_entry();
+        assert!(hammer(&mut c, row, 20).is_empty());
+        c.reset_window(100);
+        assert!(hammer(&mut c, row, 1).is_empty());
+        assert!(hammer(&mut c, RowAddr::new(0, 0, 0, 9), 8).is_empty());
+        assert_eq!(c.rat_full_mitigations(), 0);
     }
 
     #[test]
@@ -373,5 +406,6 @@ mod tests {
         let sketch = 512 * 4 * 16;
         let rat = 128 * (17 + 9); // t_h = 500 → 9 counter bits
         assert_eq!(c.sram_bits(), banks * (sketch + rat));
+        assert_eq!(c.sram_bytes(), c.sram_bits().div_ceil(8));
     }
 }

@@ -37,8 +37,7 @@
 //! Hydra must need less SRAM than Graphene while staying within a slowdown
 //! tolerance of it ([`Fig5Check`]).
 
-use crate::roster::{build_tracker, roster_names, CRA_CACHE_BYTES};
-use crate::tracker::ArenaAdapter;
+use crate::roster::{build, roster_names, CRA_CACHE_BYTES};
 use hydra_baselines::storage;
 use hydra_core::HydraStorage;
 use hydra_dram::DramTiming;
@@ -49,6 +48,7 @@ use hydra_types::addr::RowAddr;
 use hydra_types::deadline::Stopwatch;
 use hydra_types::error::ConfigError;
 use hydra_types::geometry::MemGeometry;
+use hydra_types::tracker::ActivationTracker;
 use hydra_workloads::attacks::AttackPattern;
 use hydra_workloads::registry;
 use hydra_workloads::TraceSource as _;
@@ -257,7 +257,7 @@ impl ArenaCell {
     pub fn run(&self) -> Result<ArenaRow, String> {
         let timing = DramTiming::ddr4_3200().with_scaled_window(WINDOW_SCALE);
         let window_acts = timing.max_activations_per_window();
-        let tracker = build_tracker(
+        let (tracker, params) = build(
             &self.tracker,
             self.geometry,
             0,
@@ -266,9 +266,8 @@ impl ArenaCell {
             window_acts,
         )
         .map_err(|e| e.to_string())?;
-        let params = crate::tracker::Tracker::params(&tracker);
         let sram_bits = paper_sram_bits(&self.tracker, self.t_rh).map_err(|e| e.to_string())?;
-        let oracle = ShadowOracle::new(ArenaAdapter::new(tracker), self.t_rh);
+        let oracle = ShadowOracle::new(tracker, self.t_rh);
         let mut sim = ActivationSim::new(self.geometry, oracle).with_timing(timing);
         let rows = self.rows()?;
         let start = Stopwatch::start();
@@ -276,7 +275,7 @@ impl ArenaCell {
         let wall_secs = start.elapsed_nanos() as f64 / 1e9;
         let oracle = sim.into_tracker();
         let oracle_report = oracle.report();
-        let tracker = oracle.into_inner().into_inner();
+        let tracker = oracle.into_inner();
         Ok(ArenaRow {
             tracker: self.tracker.clone(),
             params,
@@ -292,7 +291,7 @@ impl ArenaCell {
             side_writes: report.side_writes,
             mitigations: report.mitigations,
             window_resets: report.window_resets,
-            max_spillover: crate::tracker::Tracker::max_spillover(&tracker),
+            max_spillover: tracker.max_spillover(),
             oracle_violations: oracle_report.violations_total,
             worst_unmitigated: oracle_report.worst_unmitigated,
             wall_secs,
@@ -381,7 +380,7 @@ pub struct ArenaRow {
     /// Tracking-window resets.
     pub window_resets: u64,
     /// The tracker's worst counting spillover (tracker-specific; see
-    /// [`crate::tracker::Tracker::max_spillover`]).
+    /// [`ActivationTracker::max_spillover`]).
     pub max_spillover: u64,
     /// Shadow-oracle contract breaches — **0 for every sound tracker**.
     pub oracle_violations: u64,

@@ -25,14 +25,13 @@
 //! as extra activations (at `T_H ≥ 8` total traffic stays under `2·ACT_max`).
 
 use crate::abacus::{Abacus, AbacusConfig};
-use crate::adapters::{CraTracker, GrapheneTracker, HydraTracker, ParaTracker, TrrTracker};
 use crate::comet::{Comet, CometConfig};
 use crate::mint::{Mint, MintConfig};
 use crate::start::{Start, StartConfig};
-use crate::tracker::BoxedTracker;
+use hydra_baselines::{Cra, CraConfig, Graphene, GrapheneConfig, Para, VendorTrr};
 use hydra_core::config::defaults;
-use hydra_core::HydraConfig;
-use hydra_types::{ConfigError, MemGeometry};
+use hydra_core::{Hydra, HydraConfig};
+use hydra_types::{ActivationTracker, ConfigError, MemGeometry};
 
 /// Every tracker the arena races, in leaderboard order.
 pub const ROSTER: [&str; 9] = [
@@ -121,39 +120,79 @@ pub fn build_tracker(
     t_rh: u32,
     seed: u64,
     window_acts: u64,
-) -> Result<BoxedTracker, ConfigError> {
-    let tracker: BoxedTracker = match name {
-        "hydra" => Box::new(HydraTracker::new(hydra_config_for_threshold(
-            geometry, channel, t_rh,
-        )?)?),
-        "graphene" => Box::new(GrapheneTracker::for_threshold(
-            geometry,
-            channel,
-            t_rh,
-            window_acts,
-        )?),
+) -> Result<Box<dyn ActivationTracker + Send>, ConfigError> {
+    build(name, geometry, channel, t_rh, seed, window_acts).map(|(tracker, _)| tracker)
+}
+
+/// [`build_tracker`] plus the instance's provisioning summary (the
+/// leaderboard's `params` column), formatted where every input is known.
+pub(crate) fn build(
+    name: &str,
+    geometry: MemGeometry,
+    channel: u8,
+    t_rh: u32,
+    seed: u64,
+    window_acts: u64,
+) -> Result<(Box<dyn ActivationTracker + Send>, String), ConfigError> {
+    let built: (Box<dyn ActivationTracker + Send>, String) = match name {
+        "hydra" => {
+            let config = hydra_config_for_threshold(geometry, channel, t_rh)?;
+            let params = format!(
+                "t_h={} t_g={} gct={} rcc={}",
+                config.t_h, config.t_g, config.gct_entries, config.rcc_entries
+            );
+            (Box::new(Hydra::new(config)?), params)
+        }
+        "graphene" => {
+            let config = GrapheneConfig::for_threshold(geometry, channel, t_rh, window_acts)?;
+            let params = format!(
+                "threshold={} entries_per_bank={}",
+                config.threshold, config.entries_per_bank
+            );
+            (Box::new(Graphene::new(config)), params)
+        }
         "cra" => {
             // CRA's per-row DRAM counters are one byte, like Hydra's RCT:
             // clamp the tracking threshold to the counter ceiling (strictly
             // safer — rows are mitigated earlier than T_RH requires).
             let t_rh = t_rh.min(510);
-            Box::new(CraTracker::for_threshold(
-                geometry,
-                channel,
-                t_rh,
-                CRA_CACHE_BYTES,
-            )?)
+            let config = CraConfig::for_threshold(geometry, channel, t_rh, CRA_CACHE_BYTES)?;
+            let params = format!(
+                "threshold={} cache_bytes={}",
+                config.threshold, config.cache_bytes
+            );
+            (Box::new(Cra::new(config)?), params)
         }
-        "para" => Box::new(ParaTracker::for_threshold(t_rh, PARA_P_FAIL, seed)?),
+        "para" => {
+            let para = Para::for_threshold(t_rh, PARA_P_FAIL, seed)?;
+            let params = format!(
+                "p={:.6} p_fail={:e} seed={}",
+                para.probability(),
+                PARA_P_FAIL,
+                seed
+            );
+            (Box::new(para), params)
+        }
         "vendor-trr" => {
+            // The shipped sampler is deliberately weak (1–16 tracked rows,
+            // the TRRespass narrative). Provisioning it to track every
+            // distinct row a window can produce is the only way a
+            // first-come sampler meets the security contract, so the
+            // leaderboard shows what honest TRR costs.
+            let threshold = (t_rh / 2).max(1);
             let capacity = usize::try_from(2 * window_acts).unwrap_or(usize::MAX);
-            Box::new(TrrTracker::provisioned(geometry, channel, t_rh, capacity)?)
+            let trr = VendorTrr::new(geometry, channel, threshold, capacity)?;
+            let params = format!("threshold={threshold} capacity={capacity}");
+            (Box::new(trr), params)
         }
-        "comet" => Box::new(Comet::new(
-            geometry,
-            channel,
-            CometConfig::for_threshold(t_rh)?,
-        )?),
+        "comet" => {
+            let config = CometConfig::for_threshold(t_rh)?;
+            let params = format!(
+                "t_h={} t_early={} width={} depth={} rat={}",
+                config.t_h, config.t_early, config.width, config.depth, config.rat_entries
+            );
+            (Box::new(Comet::new(geometry, channel, config)?), params)
+        }
         "abacus" => {
             let mut config = AbacusConfig::for_threshold(t_rh, window_acts)?;
             // The paper rule (ACT_max / T_H) assumes full-scale windows where
@@ -163,13 +202,17 @@ pub fn build_tracker(
             // activation. Provision full residency instead: one entry per
             // possible activation (demand + feedback) per window.
             config.entries_per_rank = config.entries_per_rank.max(residency_entries(window_acts));
-            Box::new(Abacus::new(geometry, channel, config)?)
+            let params = format!(
+                "t_h={} entries_per_rank={}",
+                config.t_h, config.entries_per_rank
+            );
+            (Box::new(Abacus::new(geometry, channel, config)?), params)
         }
-        "mint" => Box::new(Mint::new(
-            geometry,
-            channel,
-            MintConfig::for_threshold(t_rh, seed)?,
-        )?),
+        "mint" => {
+            let config = MintConfig::for_threshold(t_rh, seed)?;
+            let params = format!("interval={} seed={}", config.interval, config.seed);
+            (Box::new(Mint::new(geometry, channel, config)?), params)
+        }
         "start" => {
             let banks =
                 u32::from(geometry.ranks_per_channel()) * u32::from(geometry.banks_per_rank());
@@ -177,7 +220,11 @@ pub fn build_tracker(
             // Same scaled-window residency correction as ABACuS: each
             // activation can open at most one fresh group.
             config.max_groups = config.max_groups.max(residency_entries(window_acts));
-            Box::new(Start::new(geometry, channel, config)?)
+            let params = format!(
+                "t_h={} group_rows={} max_groups={}",
+                config.t_h, config.group_rows, config.max_groups
+            );
+            (Box::new(Start::new(geometry, channel, config)?), params)
         }
         other => {
             return Err(ConfigError::new(format!(
@@ -186,13 +233,12 @@ pub fn build_tracker(
             )));
         }
     };
-    Ok(tracker)
+    Ok(built)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tracker::Tracker;
     use hydra_types::ActivationKind::Demand;
     use hydra_types::RowAddr;
 
@@ -200,16 +246,16 @@ mod tests {
     fn every_roster_name_builds_and_reports_its_name() {
         let geometry = MemGeometry::tiny();
         for name in roster_names() {
-            let mut t = match build_tracker(name, geometry, 0, 500, 42, 1360) {
+            let (mut t, params) = match build(name, geometry, 0, 500, 42, 1360) {
                 Ok(t) => t,
                 Err(e) => panic!("{name}: {e}"),
             };
             assert_eq!(&t.name(), name, "roster key must match tracker name");
-            assert!(!t.params().is_empty());
+            assert!(!params.is_empty());
             // One activation round-trips without panicking.
-            let d = t.activate(RowAddr::new(0, 0, 0, 7), 0, Demand);
+            let d = t.on_activation(RowAddr::new(0, 0, 0, 7), 0, Demand);
             assert!(d.mitigations.len() <= 1);
-            t.window_reset(1);
+            t.reset_window(1);
         }
     }
 
@@ -237,14 +283,16 @@ mod tests {
         // The arena's whole point: per-tracker SRAM responds differently to
         // T_RH. Graphene's table grows as T_RH falls; MINT's stays flat.
         let geometry = MemGeometry::tiny();
-        let bits = |name: &str, t_rh: u32| -> u64 {
+        let bytes = |name: &str, t_rh: u32| -> u64 {
             match build_tracker(name, geometry, 0, t_rh, 42, 1360) {
-                Ok(t) => t.sram_bits(),
+                Ok(t) => t.sram_bytes(),
                 Err(e) => panic!("{name}@{t_rh}: {e}"),
             }
         };
-        assert!(bits("graphene", 500) > bits("graphene", 4800));
-        assert!(bits("mint", 500) <= bits("mint", 4800));
-        assert_eq!(bits("para", 500), 0);
+        assert!(bytes("graphene", 500) > bytes("graphene", 4800));
+        assert!(bytes("mint", 500) <= bytes("mint", 4800));
+        assert_eq!(bytes("para", 500), 0);
+        assert!(bytes("hydra", 500) > 0);
+        assert!(bytes("vendor-trr", 500) > 0);
     }
 }

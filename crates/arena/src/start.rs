@@ -32,8 +32,9 @@
 //! fallback mitigates rather than drops, so exhaustion degrades
 //! performance, never security.
 
-use crate::tracker::{ActStats, Tracker, TrackerDecision};
-use hydra_types::{ActivationKind, ConfigError, MemCycle, MemGeometry, RowAddr};
+use hydra_types::{
+    ActivationKind, ActivationTracker, ConfigError, MemCycle, MemGeometry, RowAddr, TrackerResponse,
+};
 use std::collections::HashMap;
 
 /// START configuration.
@@ -158,10 +159,28 @@ impl Start {
     pub fn live_groups(&self) -> usize {
         self.groups.len()
     }
+
+    /// On-chip state in bits (rounded up to bytes by
+    /// [`ActivationTracker::sram_bytes`]).
+    pub fn sram_bits(&self) -> u64 {
+        // The reserved pool, whether or not it is currently allocated:
+        // max_groups lines of group_rows counters at ceil(log2 T_H) bits,
+        // plus a tag per line (17-bit group id at paper scale). See
+        // `hydra_baselines::storage::start_bytes_per_rank` for the
+        // paper-scale analytic model.
+        let counter_bits = u64::from(u32::BITS - self.config.t_h.leading_zeros());
+        let line_bits = u64::from(self.config.group_rows) * counter_bits + 17;
+        (self.config.max_groups as u64).saturating_mul(line_bits)
+    }
 }
 
-impl Tracker for Start {
-    fn activate(&mut self, row: RowAddr, _now: MemCycle, _kind: ActivationKind) -> TrackerDecision {
+impl ActivationTracker for Start {
+    fn on_activation(
+        &mut self,
+        row: RowAddr,
+        _now: MemCycle,
+        _kind: ActivationKind,
+    ) -> TrackerResponse {
         debug_assert_eq!(row.channel, self.channel);
         let t_h = self.config.t_h;
         let group_rows = self.config.group_rows;
@@ -174,10 +193,7 @@ impl Tracker for Start {
                 // tracking it. Safe — this very activation touched it.
                 self.pool_full_mitigations += 1;
                 self.mitigations += 1;
-                return TrackerDecision::mitigate(row).with_stats(ActStats {
-                    estimate: 1,
-                    tracked: false,
-                });
+                return TrackerResponse::mitigate(row);
             }
             self.groups.insert(key, vec![0u32; group_rows as usize]);
             self.peak_groups = self.peak_groups.max(self.groups.len());
@@ -185,25 +201,18 @@ impl Tracker for Start {
         let counters = match self.groups.get_mut(&key) {
             Some(c) => c,
             // Unreachable: the group was allocated above.
-            None => return TrackerDecision::none(),
+            None => return TrackerResponse::none(),
         };
         counters[slot] += 1;
-        let estimate = u64::from(counters[slot]);
         if counters[slot] >= t_h {
             counters[slot] = 0;
             self.mitigations += 1;
-            return TrackerDecision::mitigate(row).with_stats(ActStats {
-                estimate,
-                tracked: true,
-            });
+            return TrackerResponse::mitigate(row);
         }
-        TrackerDecision::none().with_stats(ActStats {
-            estimate,
-            tracked: true,
-        })
+        TrackerResponse::none()
     }
 
-    fn window_reset(&mut self, _now: MemCycle) {
+    fn reset_window(&mut self, _now: MemCycle) {
         self.groups.clear();
     }
 
@@ -211,22 +220,8 @@ impl Tracker for Start {
         "start"
     }
 
-    fn params(&self) -> String {
-        format!(
-            "t_h={} group_rows={} max_groups={}",
-            self.config.t_h, self.config.group_rows, self.config.max_groups
-        )
-    }
-
-    fn sram_bits(&self) -> u64 {
-        // The reserved pool, whether or not it is currently allocated:
-        // max_groups lines of group_rows counters at ceil(log2 T_H) bits,
-        // plus a tag per line (17-bit group id at paper scale). See
-        // `hydra_baselines::storage::start_bytes_per_rank` for the
-        // paper-scale analytic model.
-        let counter_bits = u64::from(u32::BITS - self.config.t_h.leading_zeros());
-        let line_bits = u64::from(self.config.group_rows) * counter_bits + 17;
-        (self.config.max_groups as u64).saturating_mul(line_bits)
+    fn sram_bytes(&self) -> u64 {
+        self.sram_bits().div_ceil(8)
     }
 }
 
@@ -247,17 +242,19 @@ mod tests {
         }
     }
 
+    /// Activates `row` `n` times; returns the 1-based activations that
+    /// drew a mitigation.
+    fn hammer(s: &mut Start, row: RowAddr, n: u64) -> Vec<u64> {
+        (1..=n)
+            .filter(|&i| !s.on_activation(row, i, Demand).mitigations.is_empty())
+            .collect()
+    }
+
     #[test]
     fn exact_counting_mitigates_at_every_t_h() {
         let mut s = start(8, 64);
         let row = RowAddr::new(0, 0, 0, 42);
-        let mut when = Vec::new();
-        for i in 1..=24u64 {
-            if !s.activate(row, i, Demand).mitigations.is_empty() {
-                when.push(i);
-            }
-        }
-        assert_eq!(when, vec![8, 16, 24]);
+        assert_eq!(hammer(&mut s, row, 24), vec![8, 16, 24]);
     }
 
     #[test]
@@ -265,42 +262,45 @@ mod tests {
         let mut s = start(8, 64);
         assert_eq!(s.live_groups(), 0);
         // Rows 0 and 7 share group 0; row 8 opens group 1.
-        s.activate(RowAddr::new(0, 0, 0, 0), 0, Demand);
-        s.activate(RowAddr::new(0, 0, 0, 7), 1, Demand);
+        s.on_activation(RowAddr::new(0, 0, 0, 0), 0, Demand);
+        s.on_activation(RowAddr::new(0, 0, 0, 7), 1, Demand);
         assert_eq!(s.live_groups(), 1);
-        s.activate(RowAddr::new(0, 0, 0, 8), 2, Demand);
+        s.on_activation(RowAddr::new(0, 0, 0, 8), 2, Demand);
         assert_eq!(s.live_groups(), 2);
-        // Row 0's count is still 1 (row 7 did not alias it).
-        let d = s.activate(RowAddr::new(0, 0, 0, 0), 3, Demand);
-        assert_eq!(d.stats.estimate, 2);
+        // Row 0's count is still 1 (row 7 did not alias it): it takes
+        // exactly T_H − 1 = 7 more activations to mitigate, not 6.
+        assert_eq!(hammer(&mut s, RowAddr::new(0, 0, 0, 0), 7), vec![7]);
     }
 
     #[test]
     fn pool_exhaustion_mitigates_instead_of_dropping() {
         let mut s = start(8, 2);
-        s.activate(RowAddr::new(0, 0, 0, 0), 0, Demand); // group 0
-        s.activate(RowAddr::new(0, 0, 0, 8), 1, Demand); // group 1
-        let d = s.activate(RowAddr::new(0, 0, 0, 16), 2, Demand); // group 2: full
+        s.on_activation(RowAddr::new(0, 0, 0, 0), 0, Demand); // group 0
+        s.on_activation(RowAddr::new(0, 0, 0, 8), 1, Demand); // group 1
+        let d = s.on_activation(RowAddr::new(0, 0, 0, 16), 2, Demand); // group 2: full
         assert_eq!(d.mitigations.len(), 1);
         assert_eq!(d.mitigations[0].aggressor.row, 16);
         assert_eq!(s.pool_full_mitigations(), 1);
-        // Rows in already-allocated groups still count exactly.
-        let d = s.activate(RowAddr::new(0, 0, 0, 0), 3, Demand);
-        assert_eq!(d.stats.estimate, 2);
+        // Rows in already-allocated groups still count exactly: row 0
+        // (count 1) mitigates at its 7th further activation, through its
+        // counter rather than the pool-full fallback.
+        assert_eq!(hammer(&mut s, RowAddr::new(0, 0, 0, 0), 7), vec![7]);
+        assert_eq!(s.pool_full_mitigations(), 1);
     }
 
     #[test]
     fn window_reset_frees_every_group_but_keeps_the_peak() {
         let mut s = start(8, 64);
         for g in 0..5u32 {
-            s.activate(RowAddr::new(0, 0, 0, g * 8), 0, Demand);
+            s.on_activation(RowAddr::new(0, 0, 0, g * 8), 0, Demand);
         }
         assert_eq!(s.live_groups(), 5);
-        s.window_reset(1);
+        s.reset_window(1);
         assert_eq!(s.live_groups(), 0);
         assert_eq!(s.peak_groups(), 5);
-        let d = s.activate(RowAddr::new(0, 0, 0, 0), 2, Demand);
-        assert_eq!(d.stats.estimate, 1, "fresh window recounts from zero");
+        // A fresh window recounts from zero: row 0 needs a full T_H = 8
+        // activations again, not the 7 its old count would leave.
+        assert_eq!(hammer(&mut s, RowAddr::new(0, 0, 0, 0), 8), vec![8]);
     }
 
     #[test]
@@ -319,5 +319,6 @@ mod tests {
         let s = start(500, 100);
         // 100 lines × (8 counters × 9 bits + 17-bit tag).
         assert_eq!(s.sram_bits(), 100 * (8 * 9 + 17));
+        assert_eq!(s.sram_bytes(), s.sram_bits().div_ceil(8));
     }
 }

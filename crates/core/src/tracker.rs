@@ -690,6 +690,12 @@ impl<R: RctBackend, P: EventSink, S: SpanSink> ActivationTracker for Hydra<R, P,
     fn sram_bytes(&self) -> u64 {
         self.storage().total_sram_bytes()
     }
+
+    fn max_spillover(&self) -> u64 {
+        // GCT group counts over-attribute per-row activity by design; the
+        // number of group spills bounds how often that slack bit.
+        self.stats.group_spills
+    }
 }
 
 #[cfg(test)]

@@ -42,8 +42,8 @@ pub mod sweep;
 
 pub use pool::{CellOutcome, WorkerPool};
 pub use shard::{
-    merge_shards, merge_tracker_shards, partition_by_channel, MergedRun, ShardResult,
-    ShardTrackerFactory, ShardedSim, TrackerMergedRun, TrackerShardResult, TrackerShardedSim,
+    merge_shards, partition_by_channel, MergedRun, ShardFactory, ShardResult, ShardStats,
+    ShardedSim,
 };
 pub use sweep::{
     run_sweep, SweepCell, SweepGrid, SweepOutcome, SweepRow, TrendCheck, SWEEP_SCHEMA_VERSION,

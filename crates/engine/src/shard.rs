@@ -11,33 +11,59 @@
 //!
 //! [`ShardedSim`] exploits exactly that: it partitions a system-wide
 //! activation stream by channel (preserving each channel's arrival order),
-//! runs one independent `Hydra` per shard — in parallel on a
-//! [`WorkerPool`](crate::pool::WorkerPool) or sequentially as the reference
-//! — and merges per-shard results with order-insensitive reductions:
-//! counter sums for [`HydraStats`]/[`ActivationSimReport`] and a *sorted*
-//! union for the mitigated-row set. The merged result is therefore
-//! bit-identical between the parallel and sequential paths, which
+//! builds one independent tracker per shard from a per-channel factory,
+//! runs the shards in parallel on a [`WorkerPool`](crate::pool::WorkerPool)
+//! or sequentially as the reference, and merges per-shard results with
+//! order-insensitive reductions: counter sums for the tracker's
+//! [`ShardStats`] and the [`ActivationSimReport`], and a *sorted* union
+//! for the mitigated-row set. The merged result is therefore bit-identical
+//! between the parallel and sequential paths, which
 //! `crates/engine/tests/shard_determinism.rs` proves by proptest.
+//!
+//! The simulator is generic over the tracker. A stats hook reads each
+//! shard tracker's counters when its run ends: [`ShardedSim::new`] builds
+//! Hydra shards from per-channel configs and collects [`HydraStats`];
+//! [`ShardedSim::from_factory`] takes any factory, such as the arena
+//! roster's boxed trackers with a `()` hook.
 
 use crate::pool::{CellOutcome, WorkerPool};
 use crate::EngineError;
 use hydra_core::{Hydra, HydraConfig, HydraStats};
 use hydra_dram::DramTiming;
-use hydra_profiler::{phase, ProfileTree, SpanSink, TreeProfiler};
 use hydra_sim::{ActivationSim, ActivationSimReport};
 use hydra_types::addr::RowAddr;
 use hydra_types::geometry::MemGeometry;
 use hydra_types::tracker::ActivationTracker;
 
+/// Tracker counters a shard reports, folded across shards by
+/// [`merge_shards`]. The fold must be commutative and associative so the
+/// merged counters do not depend on shard completion order.
+pub trait ShardStats: Default {
+    /// Adds `other`'s counters into `self`.
+    fn merge(&mut self, other: &Self);
+}
+
+impl ShardStats for HydraStats {
+    fn merge(&mut self, other: &Self) {
+        HydraStats::merge(self, other);
+    }
+}
+
+/// Trackers without a stats surface report nothing beyond the simulator's
+/// report.
+impl ShardStats for () {
+    fn merge(&mut self, _other: &Self) {}
+}
+
 /// The outcome of one channel shard.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardResult {
+pub struct ShardResult<S = HydraStats> {
     /// The channel this shard covered.
     pub channel: u8,
     /// Demand activations routed to this shard.
     pub shard_acts: u64,
-    /// The shard tracker's cumulative counters.
-    pub stats: HydraStats,
+    /// The shard tracker's cumulative counters, read by the stats hook.
+    pub stats: S,
     /// The shard simulator's report.
     pub report: ActivationSimReport,
     /// Rows mitigated in this shard, in mitigation order.
@@ -46,11 +72,11 @@ pub struct ShardResult {
 
 /// A full multi-channel run after the deterministic merge.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MergedRun {
+pub struct MergedRun<S = HydraStats> {
     /// Per-shard results, ordered by channel.
-    pub shards: Vec<ShardResult>,
+    pub shards: Vec<ShardResult<S>>,
     /// System-wide tracker counters (order-insensitive sum over shards).
-    pub stats: HydraStats,
+    pub stats: S,
     /// System-wide simulator counters (order-insensitive sum over shards).
     pub report: ActivationSimReport,
     /// Every mitigated row across all shards, sorted (deduplication is the
@@ -58,17 +84,23 @@ pub struct MergedRun {
     pub mitigated: Vec<RowAddr>,
 }
 
-/// A multi-channel simulation sharded by channel.
-#[derive(Debug, Clone)]
-pub struct ShardedSim {
+/// Builds channel `c`'s tracker. Called once per shard run, on whichever
+/// thread runs that shard, so trackers never cross threads — only the
+/// factory and the results do.
+pub type ShardFactory<T> = Box<dyn Fn(u8) -> Result<T, String> + Send + Sync>;
+
+/// A multi-channel simulation sharded by channel, with one `T` tracker per
+/// channel and `S` counters collected from each.
+pub struct ShardedSim<T = Hydra, S = HydraStats> {
     geometry: MemGeometry,
-    configs: Vec<HydraConfig>,
+    factory: ShardFactory<T>,
+    stats: fn(&T) -> S,
     timing: DramTiming,
 }
 
 impl ShardedSim {
-    /// Builds a sharded simulator from one tracker config per channel.
-    /// `configs[c]` must cover channel `c` of `geometry`.
+    /// Builds a sharded Hydra simulator from one tracker config per
+    /// channel. `configs[c]` must cover channel `c` of `geometry`.
     ///
     /// # Errors
     ///
@@ -95,33 +127,38 @@ impl ShardedSim {
                     "config for channel {slot} built for a different geometry"
                 )));
             }
-            // Surface invalid configs at construction, not mid-run on a
-            // worker thread.
-            Hydra::new(config.clone())
-                .map_err(|e| EngineError::new(format!("channel {slot} config rejected: {e}")))?;
         }
-        Ok(ShardedSim {
-            geometry,
-            configs,
-            timing: DramTiming::ddr4_3200(),
-        })
+        let factory = move |channel: u8| {
+            Hydra::new(configs[usize::from(channel)].clone()).map_err(|e| e.to_string())
+        };
+        ShardedSim::from_factory(geometry, Box::new(factory), Hydra::stats)
     }
+}
 
-    /// A sharded simulator using the paper's per-channel default config on
-    /// every channel.
+impl<T: ActivationTracker, S: ShardStats + Send> ShardedSim<T, S> {
+    /// Builds a sharded simulator that runs `factory(c)` on channel `c` and
+    /// reads each shard tracker's counters with `stats` when its run ends.
+    /// Every channel's tracker is built once up front, so an invalid
+    /// configuration surfaces here rather than mid-run on a worker.
     ///
     /// # Errors
     ///
-    /// Returns [`EngineError`] if the default config does not fit
-    /// `geometry`.
-    pub fn isca22_default(geometry: MemGeometry) -> Result<Self, EngineError> {
-        let configs = (0..geometry.channels())
-            .map(|c| {
-                HydraConfig::isca22_default(geometry, c)
-                    .map_err(|e| EngineError::new(format!("channel {c}: {e}")))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        ShardedSim::new(geometry, configs)
+    /// Returns [`EngineError`] if the factory rejects any channel.
+    pub fn from_factory(
+        geometry: MemGeometry,
+        factory: ShardFactory<T>,
+        stats: fn(&T) -> S,
+    ) -> Result<Self, EngineError> {
+        for channel in 0..geometry.channels() {
+            factory(channel)
+                .map_err(|e| EngineError::new(format!("channel {channel} config rejected: {e}")))?;
+        }
+        Ok(ShardedSim {
+            geometry,
+            factory,
+            stats,
+            timing: DramTiming::ddr4_3200(),
+        })
     }
 
     /// Overrides the DRAM timing used by every shard (e.g. a scaled window).
@@ -135,34 +172,27 @@ impl ShardedSim {
         self.geometry
     }
 
-    /// Splits a system-wide activation stream into one substream per
-    /// channel, preserving each channel's arrival order.
-    pub fn partition_by_channel(&self, rows: &[RowAddr]) -> Vec<Vec<RowAddr>> {
-        partition_by_channel(self.geometry.channels(), rows)
-    }
-
     /// Runs every shard on the pool and merges. The merge is deterministic:
     /// the result is bit-identical to [`run_sequential`](Self::run_sequential)
-    /// on the same stream regardless of worker count or completion order.
+    /// on the same stream regardless of worker count or completion order,
+    /// provided the factory builds deterministic trackers (probabilistic
+    /// ones take their seed at construction).
     ///
     /// # Errors
     ///
-    /// Returns [`EngineError`] if any shard panics or is skipped; partial
+    /// Returns [`EngineError`] if a row names a channel the geometry does
+    /// not have, or if any shard fails, panics or is skipped; partial
     /// results are discarded (a merged run with a missing channel would
     /// silently under-count).
     pub fn run_parallel(
         &self,
         pool: &WorkerPool,
         rows: &[RowAddr],
-    ) -> Result<MergedRun, EngineError> {
-        let shards = self.partition_by_channel(rows);
-        let items: Vec<(HydraConfig, Vec<RowAddr>)> =
-            self.configs.iter().cloned().zip(shards).collect();
-        let geometry = self.geometry;
-        let timing = self.timing;
-        let outcomes = pool.run_ordered(items, move |_, (config, sub)| {
-            run_shard(geometry, timing, config, &sub)
-        });
+    ) -> Result<MergedRun<S>, EngineError> {
+        let items: Vec<(u8, Vec<RowAddr>)> = (0..)
+            .zip(partition_by_channel(self.geometry.channels(), rows)?)
+            .collect();
+        let outcomes = pool.run_ordered(items, |_, (channel, sub)| self.run_shard(channel, &sub));
         let mut results = Vec::with_capacity(outcomes.len());
         for (channel, outcome) in outcomes.into_iter().enumerate() {
             match outcome {
@@ -187,165 +217,68 @@ impl ShardedSim {
     ///
     /// # Errors
     ///
-    /// Returns [`EngineError`] if a shard's tracker cannot be built.
-    pub fn run_sequential(&self, rows: &[RowAddr]) -> Result<MergedRun, EngineError> {
-        let shards = self.partition_by_channel(rows);
+    /// Returns [`EngineError`] if a row names a channel the geometry does
+    /// not have, or if a shard's tracker cannot be built.
+    pub fn run_sequential(&self, rows: &[RowAddr]) -> Result<MergedRun<S>, EngineError> {
+        let shards = partition_by_channel(self.geometry.channels(), rows)?;
         let mut results = Vec::with_capacity(shards.len());
-        for (config, sub) in self.configs.iter().cloned().zip(shards) {
-            let channel = config.channel;
+        for (channel, sub) in (0..).zip(shards) {
             results.push(
-                run_shard(self.geometry, self.timing, config, &sub)
+                self.run_shard(channel, &sub)
                     .map_err(|e| EngineError::new(format!("shard {channel} failed: {e}")))?,
             );
         }
         Ok(merge_shards(results))
     }
 
-    /// [`run_parallel`](Self::run_parallel) with per-worker span profiling:
-    /// each shard gets its own thread-local
-    /// [`TreeProfiler`](hydra_profiler::TreeProfiler) (the profiler handle
-    /// is deliberately not `Send`; only the exported [`ProfileTree`] crosses
-    /// threads), its tracker phases nest under a `shard` root span, and the
-    /// per-shard trees fold into one tree with the order-insensitive
-    /// [`ProfileTree::merge`] — commutative and associative by the proptest
-    /// in `hydra-profiler/tests/merge_laws.rs`, so the merged profile is
-    /// deterministic up to timing noise regardless of completion order.
-    ///
-    /// The simulation outcome is unaffected: the [`MergedRun`] is
-    /// bit-identical to the unprofiled paths on the same stream.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError`] under the same conditions as
-    /// [`run_parallel`](Self::run_parallel).
-    pub fn run_parallel_profiled(
-        &self,
-        pool: &WorkerPool,
-        rows: &[RowAddr],
-    ) -> Result<(MergedRun, ProfileTree), EngineError> {
-        let shards = self.partition_by_channel(rows);
-        let items: Vec<(HydraConfig, Vec<RowAddr>)> =
-            self.configs.iter().cloned().zip(shards).collect();
-        let geometry = self.geometry;
-        let timing = self.timing;
-        let outcomes = pool.run_ordered(items, move |_, (config, sub)| {
-            run_shard_profiled(geometry, timing, config, &sub)
-        });
-        let mut results = Vec::with_capacity(outcomes.len());
-        let mut profile = ProfileTree::new();
-        for (channel, outcome) in outcomes.into_iter().enumerate() {
-            match outcome {
-                CellOutcome::Done(Ok((result, tree))) => {
-                    results.push(result);
-                    profile.merge(&tree);
-                }
-                CellOutcome::Done(Err(e)) => {
-                    return Err(EngineError::new(format!("shard {channel} failed: {e}")));
-                }
-                CellOutcome::Panicked(msg) => {
-                    return Err(EngineError::new(format!("shard {channel} panicked: {msg}")));
-                }
-                CellOutcome::Skipped => {
-                    return Err(EngineError::new(format!("shard {channel} never ran")));
-                }
-            }
-        }
-        Ok((merge_shards(results), profile))
-    }
-
-    /// [`run_sequential`](Self::run_sequential) with span profiling — the
-    /// reference for [`run_parallel_profiled`](Self::run_parallel_profiled).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError`] if a shard's tracker cannot be built.
-    pub fn run_sequential_profiled(
-        &self,
-        rows: &[RowAddr],
-    ) -> Result<(MergedRun, ProfileTree), EngineError> {
-        let shards = self.partition_by_channel(rows);
-        let mut results = Vec::with_capacity(shards.len());
-        let mut profile = ProfileTree::new();
-        for (config, sub) in self.configs.iter().cloned().zip(shards) {
-            let channel = config.channel;
-            let (result, tree) = run_shard_profiled(self.geometry, self.timing, config, &sub)
-                .map_err(|e| EngineError::new(format!("shard {channel} failed: {e}")))?;
-            results.push(result);
-            profile.merge(&tree);
-        }
-        Ok((merge_shards(results), profile))
+    /// Replays one channel's substream through a freshly built tracker.
+    fn run_shard(&self, channel: u8, rows: &[RowAddr]) -> Result<ShardResult<S>, String> {
+        let tracker = (self.factory)(channel)?;
+        let mut sim = ActivationSim::new(self.geometry, tracker).with_timing(self.timing);
+        let report = sim.run(rows.iter().copied());
+        let mitigated = sim.drain_mitigated();
+        Ok(ShardResult {
+            channel,
+            shard_acts: rows.len() as u64,
+            stats: (self.stats)(sim.tracker()),
+            report,
+            mitigated,
+        })
     }
 }
 
 /// Splits `rows` into per-channel substreams, preserving arrival order
 /// within each channel.
-pub fn partition_by_channel(channels: u8, rows: &[RowAddr]) -> Vec<Vec<RowAddr>> {
+///
+/// # Errors
+///
+/// Returns [`EngineError`] for a row whose channel is not below
+/// `channels`: routing it anywhere would count it against another
+/// channel's row of the same rank, bank and index.
+pub fn partition_by_channel(
+    channels: u8,
+    rows: &[RowAddr],
+) -> Result<Vec<Vec<RowAddr>>, EngineError> {
     let mut shards: Vec<Vec<RowAddr>> = (0..channels).map(|_| Vec::new()).collect();
-    for row in rows {
-        let slot = usize::from(row.channel) % shards.len();
-        shards[slot].push(*row);
+    for (i, row) in rows.iter().enumerate() {
+        let shard = shards.get_mut(usize::from(row.channel)).ok_or_else(|| {
+            EngineError::new(format!(
+                "row {i} names channel {} of a {channels}-channel geometry",
+                row.channel
+            ))
+        })?;
+        shard.push(*row);
     }
-    shards
-}
-
-/// Replays one channel's substream through a fresh tracker.
-fn run_shard(
-    geometry: MemGeometry,
-    timing: DramTiming,
-    config: HydraConfig,
-    rows: &[RowAddr],
-) -> Result<ShardResult, String> {
-    let channel = config.channel;
-    let tracker = Hydra::new(config).map_err(|e| e.to_string())?;
-    let mut sim = ActivationSim::new(geometry, tracker).with_timing(timing);
-    let report = sim.run(rows.iter().copied());
-    let mitigated = sim.drain_mitigated();
-    Ok(ShardResult {
-        channel,
-        shard_acts: rows.len() as u64,
-        stats: sim.tracker().stats(),
-        report,
-        mitigated,
-    })
-}
-
-/// Replays one channel's substream through a fresh span-instrumented
-/// tracker, returning the shard result plus its profile tree. The
-/// [`TreeProfiler`] lives and dies on the calling (worker) thread; the
-/// bracketing `shard` root span makes each tracker phase's ancestry
-/// explicit in the folded export (`shard;activate;rcc_probe …`).
-fn run_shard_profiled(
-    geometry: MemGeometry,
-    timing: DramTiming,
-    config: HydraConfig,
-    rows: &[RowAddr],
-) -> Result<(ShardResult, ProfileTree), String> {
-    let channel = config.channel;
-    let profiler = TreeProfiler::new();
-    let tracker = Hydra::with_spans(config, profiler.clone()).map_err(|e| e.to_string())?;
-    let mut sim = ActivationSim::new(geometry, tracker).with_timing(timing);
-    let mut driver = profiler.clone();
-    driver.enter(phase::SHARD);
-    let report = sim.run(rows.iter().copied());
-    driver.exit(phase::SHARD);
-    let mitigated = sim.drain_mitigated();
-    let result = ShardResult {
-        channel,
-        shard_acts: rows.len() as u64,
-        stats: sim.tracker().stats(),
-        report,
-        mitigated,
-    };
-    Ok((result, profiler.tree()))
+    Ok(shards)
 }
 
 /// Merges shard results with order-insensitive reductions: shards are
 /// reordered by channel, counters are summed (u64 addition is commutative
 /// and associative), and the union of mitigated rows is sorted. Feeding the
 /// same shard set in any order produces a bit-identical [`MergedRun`].
-pub fn merge_shards(mut shards: Vec<ShardResult>) -> MergedRun {
+pub fn merge_shards<S: ShardStats>(mut shards: Vec<ShardResult<S>>) -> MergedRun<S> {
     shards.sort_by_key(|s| s.channel);
-    let mut stats = HydraStats::default();
+    let mut stats = S::default();
     let mut report = ActivationSimReport::default();
     let mut mitigated = Vec::new();
     for shard in &shards {
@@ -357,195 +290,6 @@ pub fn merge_shards(mut shards: Vec<ShardResult>) -> MergedRun {
     MergedRun {
         shards,
         stats,
-        report,
-        mitigated,
-    }
-}
-
-/// A factory building one tracker per channel shard. The factory is called
-/// once per channel (on whichever worker runs that shard), so trackers
-/// never cross threads — only the factory and the results do.
-pub type ShardTrackerFactory =
-    Box<dyn Fn(u8) -> Result<Box<dyn ActivationTracker + Send>, String> + Send + Sync>;
-
-/// The outcome of one tracker-generic channel shard. The Hydra-specific
-/// [`ShardResult`] additionally carries [`HydraStats`]; a generic tracker
-/// has no common stats surface beyond the simulator's report.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TrackerShardResult {
-    /// The channel this shard covered.
-    pub channel: u8,
-    /// Demand activations routed to this shard.
-    pub shard_acts: u64,
-    /// The shard simulator's report.
-    pub report: ActivationSimReport,
-    /// Rows mitigated in this shard, in mitigation order.
-    pub mitigated: Vec<RowAddr>,
-}
-
-/// A tracker-generic multi-channel run after the deterministic merge.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TrackerMergedRun {
-    /// Per-shard results, ordered by channel.
-    pub shards: Vec<TrackerShardResult>,
-    /// System-wide simulator counters (order-insensitive sum over shards).
-    pub report: ActivationSimReport,
-    /// Every mitigated row across all shards, sorted.
-    pub mitigated: Vec<RowAddr>,
-}
-
-/// [`ShardedSim`] generalized over the tracker: the same channel-sharded,
-/// deterministically-merged simulation for **any** [`ActivationTracker`] —
-/// the hook `hydra-arena` uses to race its whole roster on the engine.
-///
-/// The Hydra-specific [`ShardedSim`] is untouched by this type (its
-/// per-shard computation, merge, and profiled paths are shared code only
-/// below the tracker boundary), so every existing Hydra gate keeps its
-/// byte-identical output.
-pub struct TrackerShardedSim {
-    geometry: MemGeometry,
-    factory: ShardTrackerFactory,
-    timing: DramTiming,
-}
-
-impl TrackerShardedSim {
-    /// Builds a sharded simulator that constructs `factory(c)` for channel
-    /// `c`. Every channel's tracker is built once up front to surface
-    /// invalid configurations at construction, not mid-run on a worker.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError`] if the factory rejects any channel.
-    pub fn new(geometry: MemGeometry, factory: ShardTrackerFactory) -> Result<Self, EngineError> {
-        for channel in 0..geometry.channels() {
-            factory(channel)
-                .map_err(|e| EngineError::new(format!("channel {channel} config rejected: {e}")))?;
-        }
-        Ok(TrackerShardedSim {
-            geometry,
-            factory,
-            timing: DramTiming::ddr4_3200(),
-        })
-    }
-
-    /// Overrides the DRAM timing used by every shard (e.g. a scaled window).
-    pub fn with_timing(mut self, timing: DramTiming) -> Self {
-        self.timing = timing;
-        self
-    }
-
-    /// The simulated geometry.
-    pub fn geometry(&self) -> MemGeometry {
-        self.geometry
-    }
-
-    /// Runs every shard on the pool and merges. Deterministic: bit-identical
-    /// to [`run_sequential`](Self::run_sequential) on the same stream
-    /// regardless of worker count or completion order, provided the factory
-    /// builds deterministic trackers (every roster tracker does — PARA and
-    /// MINT take their RNG seed at construction).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError`] if any shard fails, panics, or is skipped.
-    pub fn run_parallel(
-        &self,
-        pool: &WorkerPool,
-        rows: &[RowAddr],
-    ) -> Result<TrackerMergedRun, EngineError> {
-        let shards = partition_by_channel(self.geometry.channels(), rows);
-        let items: Vec<(u8, Vec<RowAddr>)> = shards
-            .into_iter()
-            .enumerate()
-            .map(|(c, sub)| (c as u8, sub))
-            .collect();
-        let geometry = self.geometry;
-        let timing = self.timing;
-        let factory = &self.factory;
-        let outcomes = pool.run_ordered(items, move |_, (channel, sub)| {
-            run_tracker_shard(geometry, timing, channel, factory, &sub)
-        });
-        let mut results = Vec::with_capacity(outcomes.len());
-        for (channel, outcome) in outcomes.into_iter().enumerate() {
-            match outcome {
-                CellOutcome::Done(Ok(result)) => results.push(result),
-                CellOutcome::Done(Err(e)) => {
-                    return Err(EngineError::new(format!("shard {channel} failed: {e}")));
-                }
-                CellOutcome::Panicked(msg) => {
-                    return Err(EngineError::new(format!("shard {channel} panicked: {msg}")));
-                }
-                CellOutcome::Skipped => {
-                    return Err(EngineError::new(format!("shard {channel} never ran")));
-                }
-            }
-        }
-        Ok(merge_tracker_shards(results))
-    }
-
-    /// The sequential reference: runs each shard one at a time, in channel
-    /// order, on the calling thread, then merges identically to
-    /// [`run_parallel`](Self::run_parallel).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError`] if a shard's tracker cannot be built.
-    pub fn run_sequential(&self, rows: &[RowAddr]) -> Result<TrackerMergedRun, EngineError> {
-        let shards = partition_by_channel(self.geometry.channels(), rows);
-        let mut results = Vec::with_capacity(shards.len());
-        for (channel, sub) in shards.into_iter().enumerate() {
-            let channel = channel as u8;
-            results.push(
-                run_tracker_shard(self.geometry, self.timing, channel, &self.factory, &sub)
-                    .map_err(|e| EngineError::new(format!("shard {channel} failed: {e}")))?,
-            );
-        }
-        Ok(merge_tracker_shards(results))
-    }
-}
-
-impl std::fmt::Debug for TrackerShardedSim {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TrackerShardedSim")
-            .field("geometry", &self.geometry)
-            .field("timing", &self.timing)
-            .finish_non_exhaustive()
-    }
-}
-
-/// Replays one channel's substream through a freshly built tracker.
-fn run_tracker_shard(
-    geometry: MemGeometry,
-    timing: DramTiming,
-    channel: u8,
-    factory: &ShardTrackerFactory,
-    rows: &[RowAddr],
-) -> Result<TrackerShardResult, String> {
-    let tracker = factory(channel)?;
-    let mut sim = ActivationSim::new(geometry, tracker).with_timing(timing);
-    let report = sim.run(rows.iter().copied());
-    let mitigated = sim.drain_mitigated();
-    Ok(TrackerShardResult {
-        channel,
-        shard_acts: rows.len() as u64,
-        report,
-        mitigated,
-    })
-}
-
-/// Merges tracker-generic shard results exactly like [`merge_shards`]:
-/// shards reordered by channel, counters summed, mitigated rows sorted.
-pub fn merge_tracker_shards(mut shards: Vec<TrackerShardResult>) -> TrackerMergedRun {
-    shards.sort_by_key(|s| s.channel);
-    let mut report = ActivationSimReport::default();
-    let mut mitigated = Vec::new();
-    for shard in &shards {
-        report.merge(&shard.report);
-        mitigated.extend_from_slice(&shard.mitigated);
-    }
-    mitigated.sort_unstable();
-    TrackerMergedRun {
-        shards,
         report,
         mitigated,
     }
@@ -625,7 +369,10 @@ mod tests {
             RowAddr::new(1, 0, 0, 6),
             RowAddr::new(0, 0, 0, 2),
         ];
-        let shards = partition_by_channel(2, &rows);
+        let shards = match partition_by_channel(2, &rows) {
+            Ok(s) => s,
+            Err(e) => panic!("partition: {e}"),
+        };
         assert_eq!(
             shards[0],
             vec![RowAddr::new(0, 0, 0, 1), RowAddr::new(0, 0, 0, 2)]
@@ -665,45 +412,6 @@ mod tests {
     }
 
     #[test]
-    fn profiled_runs_match_unprofiled_bit_for_bit() {
-        let geometry = tiny2();
-        let sim = sharded(geometry);
-        let rows = interleaved_hammer(geometry, 6000);
-        let pool = WorkerPool::new(4);
-        let seq = match sim.run_sequential(&rows) {
-            Ok(s) => s,
-            Err(e) => panic!("sequential run: {e}"),
-        };
-        let (par_profiled, par_tree) = match sim.run_parallel_profiled(&pool, &rows) {
-            Ok(r) => r,
-            Err(e) => panic!("parallel profiled run: {e}"),
-        };
-        let (seq_profiled, seq_tree) = match sim.run_sequential_profiled(&rows) {
-            Ok(r) => r,
-            Err(e) => panic!("sequential profiled run: {e}"),
-        };
-        // Instrumentation changes nothing the merge can observe.
-        assert_eq!(par_profiled, seq);
-        assert_eq!(seq_profiled, seq);
-        // The merged tree has one `shard` root carrying every shard's spans
-        // (span counts are deterministic; only the timings are not).
-        for tree in [&par_tree, &seq_tree] {
-            let roots: Vec<&str> = tree.roots.keys().map(String::as_str).collect();
-            assert_eq!(roots, vec!["shard"]);
-            let shard = &tree.roots["shard"];
-            assert_eq!(shard.count, u64::from(geometry.channels()));
-            assert_eq!(
-                shard.children["activate"].count,
-                seq.report.total_ops(),
-                "one activate span per activation fed to any shard tracker"
-            );
-            if let Err(e) = tree.check_conservation(0.0) {
-                panic!("conservation: {e}");
-            }
-        }
-    }
-
-    #[test]
     fn merged_totals_cover_every_shard() {
         let geometry = tiny2();
         let sim = sharded(geometry);
@@ -721,47 +429,44 @@ mod tests {
         assert_eq!(merged.mitigated, sorted, "mitigated set is sorted");
     }
 
-    /// A factory building the same per-channel Hydra the concrete
-    /// [`ShardedSim`] tests use, behind the generic trait object.
-    fn hydra_factory(geometry: MemGeometry) -> ShardTrackerFactory {
-        Box::new(move |channel| {
+    /// The per-channel Hydra of [`sharded`], boxed behind the trait object
+    /// the arena roster hands out, with no stats hook.
+    fn boxed_hydra(geometry: MemGeometry) -> ShardedSim<Box<dyn ActivationTracker + Send>, ()> {
+        let factory = move |channel| {
             let mut b = HydraConfig::builder(geometry, channel);
             b.thresholds(16, 12).gct_entries(64).rcc_entries(32);
             let config = b.build().map_err(|e| e.to_string())?;
             let tracker = Hydra::new(config).map_err(|e| e.to_string())?;
             Ok(Box::new(tracker) as Box<dyn ActivationTracker + Send>)
-        })
+        };
+        match ShardedSim::from_factory(geometry, Box::new(factory), |_| ()) {
+            Ok(s) => s,
+            Err(e) => panic!("boxed sim: {e}"),
+        }
     }
 
     #[test]
-    fn generic_path_matches_the_concrete_hydra_path() {
+    fn boxed_trackers_match_the_concrete_hydra_path() {
         let geometry = tiny2();
         let rows = interleaved_hammer(geometry, 6000);
         let concrete = match sharded(geometry).run_sequential(&rows) {
             Ok(m) => m,
             Err(e) => panic!("concrete run: {e}"),
         };
-        let generic_sim = match TrackerShardedSim::new(geometry, hydra_factory(geometry)) {
-            Ok(s) => s,
-            Err(e) => panic!("generic sim: {e}"),
-        };
-        let generic = match generic_sim.run_sequential(&rows) {
+        let boxed = match boxed_hydra(geometry).run_sequential(&rows) {
             Ok(m) => m,
-            Err(e) => panic!("generic run: {e}"),
+            Err(e) => panic!("boxed run: {e}"),
         };
-        assert_eq!(generic.report, concrete.report);
-        assert_eq!(generic.mitigated, concrete.mitigated);
-        assert!(generic.report.mitigations > 0, "non-vacuous comparison");
+        assert_eq!(boxed.report, concrete.report);
+        assert_eq!(boxed.mitigated, concrete.mitigated);
+        assert!(boxed.report.mitigations > 0, "non-vacuous comparison");
     }
 
     #[test]
-    fn generic_parallel_matches_generic_sequential() {
+    fn boxed_parallel_matches_boxed_sequential() {
         let geometry = tiny2();
         let rows = interleaved_hammer(geometry, 6000);
-        let sim = match TrackerShardedSim::new(geometry, hydra_factory(geometry)) {
-            Ok(s) => s,
-            Err(e) => panic!("generic sim: {e}"),
-        };
+        let sim = boxed_hydra(geometry);
         let par = match sim.run_parallel(&WorkerPool::new(4), &rows) {
             Ok(m) => m,
             Err(e) => panic!("parallel run: {e}"),
@@ -774,10 +479,33 @@ mod tests {
     }
 
     #[test]
-    fn generic_factory_rejection_surfaces_at_construction() {
+    fn factory_rejection_surfaces_at_construction() {
         let geometry = tiny2();
-        let factory: ShardTrackerFactory =
-            Box::new(|channel| Err(format!("channel {channel} refused")));
-        assert!(TrackerShardedSim::new(geometry, factory).is_err());
+        let factory =
+            |channel| -> Result<Hydra, String> { Err(format!("channel {channel} refused")) };
+        match ShardedSim::from_factory(geometry, Box::new(factory), Hydra::stats) {
+            Err(e) => assert!(e.to_string().contains("channel 0 refused"), "{e}"),
+            Ok(_) => panic!("a refusing factory must be rejected"),
+        }
+    }
+
+    #[test]
+    fn rows_beyond_the_geometrys_channels_are_rejected() {
+        // Channel 3 of a 2-channel geometry must not alias onto channel 1's
+        // tracker (3 % 2), where it would count against channel 1's row of
+        // the same rank, bank and index.
+        let geometry = tiny2();
+        let sim = sharded(geometry);
+        let mut rows = interleaved_hammer(geometry, 100);
+        rows.push(RowAddr::new(3, 0, 1, 102));
+        let expect_rejected = |result: Result<MergedRun, EngineError>| match result {
+            Err(e) => assert!(e.to_string().contains("channel 3"), "{e}"),
+            Ok(run) => panic!("out-of-range channel accepted: {:?}", run.report),
+        };
+        expect_rejected(sim.run_sequential(&rows));
+        expect_rejected(sim.run_parallel(&WorkerPool::new(2), &rows));
+        assert!(partition_by_channel(2, &rows).is_err());
+        // The in-range prefix still runs.
+        assert!(sim.run_sequential(&rows[..100]).is_ok());
     }
 }

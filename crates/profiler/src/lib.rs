@@ -37,7 +37,7 @@
 //!
 //! Three ways out: [`ProfileTree::render_table`] (human self/cumulative
 //! table), [`ProfileTree::to_folded`] (folded-stack lines —
-//! `shard;activate;rcc_probe 1234` — consumable by flamegraph.pl and
+//! `sim;activate;rcc_probe 1234` — consumable by flamegraph.pl and
 //! inferno), and [`ProfileTree::to_json`] (schema-versioned
 //! [`PROFILE_SCHEMA_VERSION`] JSON). Folded output round-trips through
 //! [`FoldedProfile::parse`] with totals preserved.

@@ -108,8 +108,6 @@ pub mod phase {
     pub const SIM: &str = "sim";
     /// Per-window stats snapshot at a window boundary (`hydra_sim`).
     pub const WINDOW_SNAPSHOT: &str = "window_snapshot";
-    /// One shard's worth of sharded-simulation work (`hydra_engine`).
-    pub const SHARD: &str = "shard";
     /// One daemon shard ingest batch (`hydra_server`).
     pub const INGEST: &str = "ingest";
     /// One daemon shard stats publish (`hydra_server`).

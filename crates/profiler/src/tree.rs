@@ -9,7 +9,7 @@ use std::rc::Rc;
 /// A span-stack profiler aggregating brackets into a call tree.
 ///
 /// The handle is a cheap clone onto shared per-thread state: the driving
-/// layer keeps one clone to bracket outer phases (`sim`, `shard`) and hands
+/// layer keeps one clone to bracket outer phases (such as `sim`) and hands
 /// another to the tracker, whose inner-loop brackets nest under whatever
 /// the driver has open. It is deliberately **not** `Send` — each worker
 /// thread builds its own profiler and exports a plain [`ProfileTree`]

@@ -164,6 +164,13 @@ pub trait ActivationTracker {
     /// Total SRAM bytes this tracker's on-chip structures occupy (for the
     /// storage tables). Analytic models may return 0 when not meaningful.
     fn sram_bytes(&self) -> u64;
+
+    /// The worst counting over-estimate the tracker has accrued so far
+    /// (Misra-Gries spillover, Hydra's group spills, sketch collision
+    /// slack, …). Exact trackers keep the default of 0.
+    fn max_spillover(&self) -> u64 {
+        0
+    }
 }
 
 impl<T: ActivationTracker + ?Sized> ActivationTracker for Box<T> {
@@ -186,6 +193,10 @@ impl<T: ActivationTracker + ?Sized> ActivationTracker for Box<T> {
 
     fn sram_bytes(&self) -> u64 {
         (**self).sram_bytes()
+    }
+
+    fn max_spillover(&self) -> u64 {
+        (**self).max_spillover()
     }
 }
 
@@ -275,6 +286,70 @@ mod tests {
     fn trait_is_object_safe() {
         let mut boxed: Box<dyn ActivationTracker> = Box::new(NullTracker);
         let _ = boxed.on_activation(RowAddr::default(), 0, ActivationKind::Demand);
+    }
+
+    /// Mitigates every `n`-th activation and reports a fixed spillover.
+    struct EveryNth {
+        n: u64,
+        seen: u64,
+    }
+
+    impl ActivationTracker for EveryNth {
+        fn on_activation(
+            &mut self,
+            row: RowAddr,
+            _now: MemCycle,
+            _kind: ActivationKind,
+        ) -> TrackerResponse {
+            self.seen += 1;
+            if self.seen.is_multiple_of(self.n) {
+                TrackerResponse::mitigate(row)
+            } else {
+                TrackerResponse::none()
+            }
+        }
+
+        fn reset_window(&mut self, _now: MemCycle) {
+            self.seen = 0;
+        }
+
+        fn name(&self) -> &str {
+            "every-nth"
+        }
+
+        fn sram_bytes(&self) -> u64 {
+            2
+        }
+
+        fn max_spillover(&self) -> u64 {
+            self.n + 40
+        }
+    }
+
+    #[test]
+    fn boxed_tracker_forwards_every_method() {
+        let mut b: Box<dyn ActivationTracker + Send> = Box::new(EveryNth { n: 2, seen: 0 });
+        let row = RowAddr::new(0, 0, 0, 7);
+        assert!(b.on_activation(row, 0, ActivationKind::Demand).is_empty());
+        let r = b.on_activation(row, 1, ActivationKind::Demand);
+        assert_eq!(r.mitigations.len(), 1);
+        assert_eq!(r.mitigations[0].aggressor, row);
+        // A window reset restarts the count: the next mitigation needs a
+        // full `n` fresh activations again.
+        assert!(b.on_activation(row, 2, ActivationKind::Demand).is_empty());
+        b.reset_window(3);
+        assert!(b.on_activation(row, 4, ActivationKind::Demand).is_empty());
+        assert_eq!(
+            b.on_activation(row, 5, ActivationKind::Demand)
+                .mitigations
+                .len(),
+            1
+        );
+        assert_eq!(b.name(), "every-nth");
+        assert_eq!(b.sram_bytes(), 2);
+        // An override must survive the box, not fall back to the default.
+        assert_eq!(b.max_spillover(), 42);
+        assert_eq!(NullTracker.max_spillover(), 0);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! * [`types`] — shared addressing/geometry/tracker vocabulary
 //! * [`analysis`] — static config auditor, shadow-oracle sanitizer, repo lint
 //! * [`arena`] — cross-tracker arena: CoMeT/ABACuS/MINT/START and the
-//!   existing baselines behind one `Tracker` trait, raced on a Pareto
+//!   existing baselines, each an `ActivationTracker`, raced on a Pareto
 //!   leaderboard (`hydra sweep --arena`)
 //! * [`core`] — the Hydra hybrid tracker (the paper's contribution)
 //! * [`baselines`] — Graphene, CRA, PARA, OCPR, D-CBF, storage models
