@@ -31,10 +31,10 @@
 //! `N_RH_entries`) shows up as a zero in the leaderboard.
 
 use hydra_types::{
-    ActivationKind, ActivationTracker, ConfigError, MemCycle, MemGeometry, MitigationRequest,
-    RowAddr, TrackerResponse,
+    ActivationKind, ActivationTracker, ConfigError, FastMap, MemCycle, MemGeometry,
+    MitigationRequest, RowAddr, TrackerResponse,
 };
-use std::collections::HashMap;
+use std::collections::hash_map::Entry as Slot;
 
 /// ABACuS configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -93,7 +93,7 @@ pub struct Abacus {
     channel: u8,
     banks_per_rank: u8,
     /// One shared table per rank: row id → entry.
-    ranks: Vec<HashMap<u32, Entry>>,
+    ranks: Vec<FastMap<u32, Entry>>,
     mitigations: u64,
     table_full_mitigations: u64,
 }
@@ -125,7 +125,7 @@ impl Abacus {
             ));
         }
         let ranks = (0..geometry.ranks_per_channel())
-            .map(|_| HashMap::with_capacity(config.entries_per_rank))
+            .map(|_| FastMap::with_capacity_and_hasher(config.entries_per_rank, Default::default()))
             .collect();
         Ok(Abacus {
             config,
@@ -181,10 +181,11 @@ impl ActivationTracker for Abacus {
         let table = &mut self.ranks[usize::from(row.rank)];
         let bank_bit = 1u32 << row.bank;
 
-        let entry = match table.get_mut(&row.row) {
-            Some(e) => e,
-            None => {
-                if table.len() >= entries {
+        let live = table.len();
+        let entry = match table.entry(row.row) {
+            Slot::Occupied(e) => e.into_mut(),
+            Slot::Vacant(slot) => {
+                if live >= entries {
                     // Full: mitigate the incoming (bank, row) directly. Safe
                     // — it was just activated — and the activation is then
                     // accounted for (a mitigated row restarts from zero).
@@ -192,21 +193,11 @@ impl ActivationTracker for Abacus {
                     self.mitigations += 1;
                     return TrackerResponse::mitigate(row);
                 }
-                table.insert(
-                    row.row,
-                    Entry {
-                        rac: 0,
-                        sav: 0,
-                        dirty: 0,
-                    },
-                );
-                match table.get_mut(&row.row) {
-                    Some(e) => e,
-                    // Unreachable: the key was just inserted.
-                    None => {
-                        return TrackerResponse::none();
-                    }
-                }
+                slot.insert(Entry {
+                    rac: 0,
+                    sav: 0,
+                    dirty: 0,
+                })
             }
         };
 

@@ -53,6 +53,7 @@ use hydra_workloads::attacks::AttackPattern;
 use hydra_workloads::registry;
 use hydra_workloads::TraceSource as _;
 use std::fmt::Write as _;
+use std::sync::{Arc, OnceLock};
 
 /// Version tag stamped on every `hydra sweep --arena` JSONL line. This
 /// constant is the only place the literal may appear in library code
@@ -255,6 +256,13 @@ impl ArenaCell {
     ///
     /// Returns a description of any configuration or workload failure.
     pub fn run(&self) -> Result<ArenaRow, String> {
+        self.run_with(&OnceLock::new())
+    }
+
+    /// [`Self::run`] on the stream in `stream`, which the call fills with
+    /// [`Self::rows`] if it is still empty. Cells that share one stream
+    /// must agree on everything [`Self::rows`] reads.
+    fn run_with(&self, stream: &SharedStream) -> Result<ArenaRow, String> {
         let timing = DramTiming::ddr4_3200().with_scaled_window(WINDOW_SCALE);
         let window_acts = timing.max_activations_per_window();
         let (tracker, params) = build(
@@ -269,9 +277,9 @@ impl ArenaCell {
         let sram_bits = paper_sram_bits(&self.tracker, self.t_rh).map_err(|e| e.to_string())?;
         let oracle = ShadowOracle::new(tracker, self.t_rh);
         let mut sim = ActivationSim::new(self.geometry, oracle).with_timing(timing);
-        let rows = self.rows()?;
+        let rows = stream.get_or_init(|| self.rows()).as_ref()?;
         let start = Stopwatch::start();
-        let report = sim.run(rows);
+        let report = sim.run(rows.iter().copied());
         let wall_secs = start.elapsed_nanos() as f64 / 1e9;
         let oracle = sim.into_tracker();
         let oracle_report = oracle.report();
@@ -707,10 +715,17 @@ impl ArenaOutcome {
     }
 }
 
+/// A workload's activation stream, generated by the first cell that needs
+/// it; a failed generation is kept and reported by every cell.
+type SharedStream = OnceLock<Result<Vec<RowAddr>, String>>;
+
 /// One arena cell as a batch job, so the harness's panic isolation,
 /// watchdog, and retries apply per cell.
 pub struct ArenaCellJob {
     cell: ArenaCell,
+    /// The stream of the cell's workload, shared with the other cells of
+    /// that workload and freed with the last of them.
+    stream: Arc<SharedStream>,
 }
 
 impl BatchJob for ArenaCellJob {
@@ -721,7 +736,7 @@ impl BatchJob for ArenaCellJob {
     }
 
     fn run(&self, _attempt: u32) -> Result<ArenaRow, String> {
-        self.cell.run()
+        self.cell.run_with(&self.stream)
     }
 
     fn replay_artifact(&self) -> Option<String> {
@@ -738,16 +753,25 @@ impl BatchJob for ArenaCellJob {
 /// given policy (`batch.jobs` controls parallelism). Rows come back in
 /// grid order regardless of completion order.
 ///
+/// A cell's stream depends only on its workload (the grid fixes geometry,
+/// length and seed), so the cells of one workload — consecutive in the
+/// workload-major grid — share one stream: the first of them to run
+/// generates it, and it is freed when the last of them is dropped.
+///
 /// # Errors
 ///
 /// Returns [`ConfigError`] if the grid itself is invalid; individual cell
 /// failures are reported in [`ArenaOutcome::failures`], not as errors.
 pub fn run_arena(grid: &ArenaGrid, batch: BatchConfig) -> Result<ArenaOutcome, ConfigError> {
     let cells = grid.cells()?;
-    let jobs: Vec<ArenaCellJob> = cells
-        .into_iter()
-        .map(|cell| ArenaCellJob { cell })
-        .collect();
+    let mut jobs: Vec<ArenaCellJob> = Vec::with_capacity(cells.len());
+    for cell in cells {
+        let stream = match jobs.last() {
+            Some(prev) if prev.cell.workload == cell.workload => Arc::clone(&prev.stream),
+            _ => Arc::default(),
+        };
+        jobs.push(ArenaCellJob { cell, stream });
+    }
     let report = BatchRunner::new(batch).run(jobs);
     let mut rows = Vec::new();
     let mut failures = Vec::new();

@@ -33,9 +33,10 @@
 //! performance, never security.
 
 use hydra_types::{
-    ActivationKind, ActivationTracker, ConfigError, MemCycle, MemGeometry, RowAddr, TrackerResponse,
+    ActivationKind, ActivationTracker, ConfigError, FastMap, MemCycle, MemGeometry, RowAddr,
+    TrackerResponse,
 };
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
 
 /// START configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -99,7 +100,7 @@ pub struct Start {
     config: StartConfig,
     channel: u8,
     /// Lazily-allocated counter groups.
-    groups: HashMap<GroupKey, Vec<u32>>,
+    groups: FastMap<GroupKey, Vec<u32>>,
     /// High-water mark of concurrently-allocated groups (any window).
     peak_groups: usize,
     mitigations: u64,
@@ -128,7 +129,7 @@ impl Start {
         Ok(Start {
             config,
             channel,
-            groups: HashMap::new(),
+            groups: FastMap::default(),
             peak_groups: 0,
             mitigations: 0,
             pool_full_mitigations: 0,
@@ -187,21 +188,20 @@ impl ActivationTracker for Start {
         let key: GroupKey = (row.rank, row.bank, row.row / group_rows);
         let slot = (row.row % group_rows) as usize;
 
-        if !self.groups.contains_key(&key) {
-            if self.groups.len() >= self.config.max_groups {
-                // Pool exhausted: mitigate the incoming row now instead of
-                // tracking it. Safe — this very activation touched it.
-                self.pool_full_mitigations += 1;
-                self.mitigations += 1;
-                return TrackerResponse::mitigate(row);
+        let live = self.groups.len();
+        let counters = match self.groups.entry(key) {
+            Entry::Occupied(group) => group.into_mut(),
+            Entry::Vacant(slot) => {
+                if live >= self.config.max_groups {
+                    // Pool exhausted: mitigate the incoming row now instead
+                    // of tracking it. Safe — this very activation touched it.
+                    self.pool_full_mitigations += 1;
+                    self.mitigations += 1;
+                    return TrackerResponse::mitigate(row);
+                }
+                self.peak_groups = self.peak_groups.max(live + 1);
+                slot.insert(vec![0u32; group_rows as usize])
             }
-            self.groups.insert(key, vec![0u32; group_rows as usize]);
-            self.peak_groups = self.peak_groups.max(self.groups.len());
-        }
-        let counters = match self.groups.get_mut(&key) {
-            Some(c) => c,
-            // Unreachable: the group was allocated above.
-            None => return TrackerResponse::none(),
         };
         counters[slot] += 1;
         if counters[slot] >= t_h {

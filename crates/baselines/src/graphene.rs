@@ -16,7 +16,9 @@ use hydra_types::addr::RowAddr;
 use hydra_types::clock::MemCycle;
 use hydra_types::error::ConfigError;
 use hydra_types::geometry::MemGeometry;
+use hydra_types::hash::RowHasher;
 use hydra_types::tracker::{ActivationKind, ActivationTracker, TrackerResponse};
+use std::hash::BuildHasherDefault;
 
 /// Configuration for a per-channel Graphene instance.
 #[derive(Debug, Clone)]
@@ -85,7 +87,7 @@ impl GrapheneConfig {
 pub struct Graphene {
     config: GrapheneConfig,
     /// One summary per (rank, bank) of the channel.
-    tables: Vec<MisraGries<u32>>,
+    tables: Vec<MisraGries<u32, BuildHasherDefault<RowHasher>>>,
     mitigations: u64,
     activations: u64,
 }
@@ -97,7 +99,7 @@ impl Graphene {
             * usize::from(config.geometry.banks_per_rank());
         Graphene {
             tables: (0..nbanks)
-                .map(|_| MisraGries::new(config.entries_per_bank))
+                .map(|_| MisraGries::with_hasher(config.entries_per_bank, Default::default()))
                 .collect(),
             config,
             mitigations: 0,

@@ -7,10 +7,15 @@
 //! the estimate therefore never misses a true aggressor. (Graphene paper,
 //! MICRO 2020.)
 
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
-use std::hash::Hash;
+use std::hash::{BuildHasher, Hash};
 
-/// A Misra-Gries summary over items of type `K`.
+/// A Misra-Gries summary over items of type `K`, hashed with `S`.
+///
+/// The default hasher is std's randomly keyed SipHash; Graphene, whose
+/// items are rows the simulator generates, uses the deterministic
+/// [`hydra_types::hash::RowHasher`] through [`Self::with_hasher`].
 ///
 /// # Example
 ///
@@ -24,8 +29,8 @@ use std::hash::Hash;
 /// assert!(mg.estimate(&"c") <= mg.spillover() );
 /// ```
 #[derive(Debug, Clone)]
-pub struct MisraGries<K> {
-    entries: HashMap<K, u64>,
+pub struct MisraGries<K, S = RandomState> {
+    entries: HashMap<K, u64, S>,
     capacity: usize,
     spillover: u64,
 }
@@ -37,9 +42,23 @@ impl<K: Eq + Hash + Clone> MisraGries<K> {
     ///
     /// Panics if `capacity == 0`.
     pub fn new(capacity: usize) -> Self {
+        Self::with_hasher(capacity, RandomState::new())
+    }
+}
+
+impl<K: Eq + Hash + Clone, S: BuildHasher> MisraGries<K, S> {
+    /// Creates a summary with room for `capacity` tracked items, hashed
+    /// with `hasher`. Which floor entry an insertion replaces depends on
+    /// the map's iteration order; the estimates, the spillover, and whether
+    /// an item is tracked right after its own increment do not.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity == 0`.
+    pub fn with_hasher(capacity: usize, hasher: S) -> Self {
         assert!(capacity > 0, "Misra-Gries needs at least one entry");
         MisraGries {
-            entries: HashMap::with_capacity(capacity),
+            entries: HashMap::with_capacity_and_hasher(capacity, hasher),
             capacity,
             spillover: 0,
         }

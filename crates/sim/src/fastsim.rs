@@ -15,7 +15,7 @@ use hydra_dram::DramTiming;
 use hydra_types::addr::RowAddr;
 use hydra_types::clock::MemCycle;
 use hydra_types::geometry::MemGeometry;
-use hydra_types::mitigation::BlastRadius;
+use hydra_types::mitigation::{BlastRadius, MitigationRequest};
 use hydra_types::tracker::{ActivationKind, ActivationTracker};
 use std::collections::VecDeque;
 
@@ -97,6 +97,8 @@ pub struct ActivationSim<T> {
     report: ActivationSimReport,
     /// Rows mitigated since the last [`Self::drain_mitigated`] call.
     mitigated_log: Vec<RowAddr>,
+    /// Pending (row, kind) activations of the current demand activation.
+    work: VecDeque<(RowAddr, ActivationKind)>,
 }
 
 impl<T: ActivationTracker> ActivationSim<T> {
@@ -113,6 +115,7 @@ impl<T: ActivationTracker> ActivationSim<T> {
             now: 0,
             report: ActivationSimReport::default(),
             mitigated_log: Vec::new(),
+            work: VecDeque::new(),
         }
     }
 
@@ -202,26 +205,17 @@ impl<T: ActivationTracker> ActivationSim<T> {
             on_window_reset(&self.tracker, self.now);
         }
         // Work queue: (row, kind). Mitigation victims append more entries.
-        let mut work: VecDeque<(RowAddr, ActivationKind)> = VecDeque::new();
-        work.push_back((row, ActivationKind::Demand));
-        while let Some((r, kind)) = work.pop_front() {
+        // The queue is empty between activations; reusing it keeps an
+        // activation allocation-free once it has grown to its working size.
+        self.work.push_back((row, ActivationKind::Demand));
+        while let Some((r, kind)) = self.work.pop_front() {
             match kind {
                 ActivationKind::Demand => self.report.demand_acts += 1,
                 ActivationKind::MitigationRefresh => self.report.mitigation_acts += 1,
                 ActivationKind::TrackerSide => {}
             }
             let response = self.tracker.on_activation(r, self.now, kind);
-            self.report.mitigations += response.mitigations.len() as u64;
-            for m in response.mitigations {
-                self.mitigated_log.push(m.aggressor);
-                for offset in self.blast.offsets() {
-                    if let Some(victim) =
-                        m.aggressor.neighbor(offset, self.geometry.rows_per_bank())
-                    {
-                        work.push_back((victim, ActivationKind::MitigationRefresh));
-                    }
-                }
-            }
+            self.enqueue_victims(&response.mitigations);
             for s in response.side_requests {
                 match s.kind {
                     hydra_types::SideRequestKind::Read => self.report.side_reads += 1,
@@ -232,16 +226,21 @@ impl<T: ActivationTracker> ActivationSim<T> {
                 let side_response =
                     self.tracker
                         .on_activation(s.row, self.now, ActivationKind::TrackerSide);
-                self.report.mitigations += side_response.mitigations.len() as u64;
-                for m in side_response.mitigations {
-                    self.mitigated_log.push(m.aggressor);
-                    for offset in self.blast.offsets() {
-                        if let Some(victim) =
-                            m.aggressor.neighbor(offset, self.geometry.rows_per_bank())
-                        {
-                            work.push_back((victim, ActivationKind::MitigationRefresh));
-                        }
-                    }
+                self.enqueue_victims(&side_response.mitigations);
+            }
+        }
+    }
+
+    /// Counts and logs `mitigations`, and queues each aggressor's victim
+    /// refreshes.
+    fn enqueue_victims(&mut self, mitigations: &[MitigationRequest]) {
+        self.report.mitigations += mitigations.len() as u64;
+        for m in mitigations {
+            self.mitigated_log.push(m.aggressor);
+            for offset in self.blast.offsets() {
+                if let Some(victim) = m.aggressor.neighbor(offset, self.geometry.rows_per_bank()) {
+                    self.work
+                        .push_back((victim, ActivationKind::MitigationRefresh));
                 }
             }
         }

@@ -51,7 +51,6 @@ pub mod config;
 pub mod controller;
 pub mod core;
 pub mod fastsim;
-pub mod histogram;
 pub mod llc;
 pub mod metrics;
 pub mod oracle;
@@ -65,7 +64,6 @@ pub use config::SystemConfig;
 pub use controller::{CompletedRead, MemController, RequestKind};
 pub use core::CoreModel;
 pub use fastsim::{ActivationSim, ActivationSimReport};
-pub use histogram::LatencyHistogram;
 pub use llc::SharedLlc;
 pub use metrics::{
     run_windowed, run_windowed_profiled, LatencySummary, StatsSource, WindowRecord, WindowSeries,

@@ -41,8 +41,7 @@
 //! ```
 
 use hydra_types::tracker::NullTracker;
-use hydra_types::{ActivationKind, ActivationTracker, MemCycle, RowAddr, TrackerResponse};
-use std::collections::HashMap;
+use hydra_types::{ActivationKind, ActivationTracker, FastMap, MemCycle, RowAddr, TrackerResponse};
 use std::fmt;
 
 /// What kind of contract breach the sanitizer observed.
@@ -97,7 +96,9 @@ impl fmt::Display for Violation {
 pub struct OracleReport {
     /// Activations observed.
     pub activations: u64,
-    /// Distinct rows with nonzero counts at any point.
+    /// Rows in the ground-truth map when the report was taken: every row
+    /// activated in the current or previous window, plus every row
+    /// mitigated since the last window reset (kept at count zero).
     pub rows_tracked: u64,
     /// Total violations recorded (all kinds).
     pub violations_total: u64,
@@ -138,7 +139,7 @@ pub struct ShadowOracle<T> {
     inner: T,
     t_rh: u64,
     name: String,
-    rows: HashMap<RowAddr, RowState>,
+    rows: FastMap<RowAddr, RowState>,
     violations: Vec<Violation>,
     report: OracleReport,
 }
@@ -151,7 +152,7 @@ impl<T: ActivationTracker> ShadowOracle<T> {
             inner,
             t_rh: u64::from(t_rh),
             name,
-            rows: HashMap::new(),
+            rows: FastMap::default(),
             violations: Vec::new(),
             report: OracleReport::default(),
         }
@@ -208,16 +209,13 @@ impl<T: ActivationTracker> ShadowOracle<T> {
         for m in &response.mitigations {
             self.report.mitigations += 1;
             let state = self.rows.entry(m.aggressor).or_default();
-            if state.total() == 0 {
-                let count = state.total();
-                self.record(ViolationKind::SpuriousMitigation, m.aggressor, count, at);
-            }
+            let spurious = state.total() == 0;
             // A mitigation refreshes the row: its accumulated disturbance
             // is gone, in both windows.
-            let state = self.rows.entry(m.aggressor).or_default();
-            state.current = 0;
-            state.prev = 0;
-            state.flagged = false;
+            *state = RowState::default();
+            if spurious {
+                self.record(ViolationKind::SpuriousMitigation, m.aggressor, 0, at);
+            }
         }
     }
 }
@@ -232,18 +230,26 @@ impl<T: ActivationTracker> ActivationTracker for ShadowOracle<T> {
         self.report.activations += 1;
         // Every activation disturbs the row's neighbors, whatever caused it
         // — demand, victim refresh (Half-Double), or tracker side traffic.
-        self.rows.entry(row).or_default().current += 1;
+        let state = self.rows.entry(row).or_default();
+        state.current += 1;
 
         let response = self.inner.on_activation(row, now, kind);
-        self.apply_mitigations(&response, now);
-
-        if let Some(state) = self.rows.get_mut(&row) {
-            let total = state.total();
-            self.report.worst_unmitigated = self.report.worst_unmitigated.max(total);
-            if total >= self.t_rh && !state.flagged {
-                state.flagged = true;
-                self.record(ViolationKind::ExcessActivations, row, total, now);
+        // Without mitigations the entry found above is still the row's;
+        // mitigations may insert rows (moving entries), so look it up again.
+        let state = if response.mitigations.is_empty() {
+            state
+        } else {
+            self.apply_mitigations(&response, now);
+            match self.rows.get_mut(&row) {
+                Some(state) => state,
+                None => return response,
             }
+        };
+        let total = state.total();
+        self.report.worst_unmitigated = self.report.worst_unmitigated.max(total);
+        if total >= self.t_rh && !state.flagged {
+            state.flagged = true;
+            self.record(ViolationKind::ExcessActivations, row, total, now);
         }
         response
     }
@@ -253,14 +259,14 @@ impl<T: ActivationTracker> ActivationTracker for ShadowOracle<T> {
         // The regular refresh restores charge once per window: disturbance
         // can only straddle two adjacent windows. Shift current → prev and
         // drop the older window's contribution.
-        for state in self.rows.values_mut() {
+        self.rows.retain(|_, state| {
             state.prev = state.current;
             state.current = 0;
             if state.total() < self.t_rh {
                 state.flagged = false;
             }
-        }
-        self.rows.retain(|_, s| s.total() > 0);
+            state.total() > 0
+        });
         self.inner.reset_window(now);
     }
 
@@ -283,6 +289,7 @@ impl Default for ShadowOracle<NullTracker> {
 mod tests {
     use super::*;
     use hydra_types::ActivationKind::Demand;
+    use std::collections::HashMap;
 
     /// A tracker that mitigates exactly at its threshold — the oracle must
     /// stay clean on it.

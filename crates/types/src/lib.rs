@@ -7,6 +7,8 @@
 //! * [`addr::RowAddr`] / [`addr::LineAddr`] — typed DRAM row and cache-line
 //!   addresses.
 //! * [`clock`] — cycle bookkeeping and ns ↔ cycle conversion.
+//! * [`hash::FastMap`] — a `HashMap` over a deterministic multiply hasher,
+//!   for the simulator's row-keyed tables.
 //! * [`deadline`] — monotonic wall-clock deadlines and single-fire
 //!   watchdogs, shared by the batch harness and the service daemon.
 //! * [`tracker::ActivationTracker`] — the interface between a memory
@@ -36,6 +38,7 @@ pub mod clock;
 pub mod deadline;
 pub mod error;
 pub mod geometry;
+pub mod hash;
 pub mod mitigation;
 pub mod tracker;
 
@@ -44,6 +47,7 @@ pub use clock::{Clock, MemCycle, NANOS_PER_SEC};
 pub use deadline::{Deadline, Stopwatch, Watchdog};
 pub use error::ConfigError;
 pub use geometry::MemGeometry;
+pub use hash::{FastMap, RowHasher};
 pub use mitigation::{BlastRadius, MitigationPolicy, MitigationRequest};
 pub use tracker::{
     ActivationKind, ActivationTracker, NullTracker, SideRequest, SideRequestKind, TrackerResponse,
